@@ -81,18 +81,9 @@ Gfsl::SlowSearchResult Gfsl::batch_search(Team& team, Key k,
         ++cur.reuses;
         team.metric(obs::kBatchDescentReuses);
       }
-    } else if (foresight_start(team, k, &cur_g)) {
-      // Cold descent seeded by a validated foresight hint: enter the bottom
-      // walk directly.  Only the level-0 cursor entry gets warmed (height 0),
-      // so the next ascending key either reuses it or consults a hint again.
-      height = 0;
-      descent_top = 0;
-      if (!counted) {
-        counted = true;
-        ++cur.fulls;
-        team.metric(obs::kBatchFullDescents);
-      }
     } else {
+      // Cold: the classic head descent, which records every upper path lane
+      // for the commit halves (no foresight hint, as in search_slow).
       height = height_coop(team);
       descent_top = height;
       cur_g = guard_ref(head_of(team, height));

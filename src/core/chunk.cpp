@@ -1,5 +1,7 @@
 #include "core/chunk.h"
 
+#include <sys/mman.h>
+
 #include <cassert>
 #include <new>
 #include <stdexcept>
@@ -30,8 +32,13 @@ ChunkArena::ChunkArena(int entries_per_chunk, std::uint32_t capacity,
     throw std::invalid_argument("chunk arena capacity must be positive");
   }
   if (region == nullptr) {
-    slots_own_.reset(new std::atomic<KV>[static_cast<std::size_t>(n_) *
-                                         capacity]);
+    // Zeroed on first touch, exactly what value-initialized atomics held.
+    const std::size_t bytes = sizeof(std::atomic<KV>) *
+                              static_cast<std::size_t>(n_) * capacity;
+    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    slots_own_ = {static_cast<std::atomic<KV>*>(p), Unmap{bytes}};
     gen_own_.reset(new std::atomic<std::uint32_t>[capacity]);
     free_next_own_.reset(new std::atomic<std::uint32_t>[capacity]);
     slots_ = slots_own_.get();
@@ -72,6 +79,10 @@ ChunkArena::ChunkArena(int entries_per_chunk, std::uint32_t capacity,
     gen_[i].store(0, std::memory_order_relaxed);
     free_next_[i].store(NULL_CHUNK, std::memory_order_relaxed);
   }
+}
+
+void ChunkArena::Unmap::operator()(std::atomic<KV>* p) const {
+  ::munmap(p, bytes);
 }
 
 ChunkRef ChunkArena::pop_free() {

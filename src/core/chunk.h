@@ -35,6 +35,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -182,8 +183,15 @@ class ChunkArena {
   // Owned backing storage, allocated only when no region is attached.  The
   // raw pointers below are the single access path either way, so the
   // detached hot path is bit-identical to the seed (one extra indirection
-  // that the owned case had through unique_ptr anyway).
-  std::unique_ptr<std::atomic<KV>[]> slots_own_;
+  // that the owned case had through unique_ptr anyway).  The chunk slots
+  // are an anonymous mapping: the kernel zero-fills each page on first
+  // touch, so a pool sized with headroom costs resident memory only for
+  // the chunks ever handed out.
+  struct Unmap {
+    std::size_t bytes;
+    void operator()(std::atomic<KV>* p) const;
+  };
+  std::unique_ptr<std::atomic<KV>[], Unmap> slots_own_;
   std::unique_ptr<std::atomic<std::uint32_t>[]> gen_own_;
   std::unique_ptr<std::atomic<std::uint32_t>[]> free_next_own_;
   struct Control {

@@ -80,30 +80,27 @@ void Gfsl::rebuild(const std::vector<std::pair<Key, Value>>& pairs) {
   // splits and deletes without immediate merges.
   const int fill = std::max(1, arena_.dsize() * 3 / 4);
 
-  // Entries to place at the current level; values are user values at level 0
-  // and chunk references above.
-  std::vector<std::pair<Key, Value>> current;
-  current.reserve(pairs.size());
-  for (const auto& [k, v] : pairs) current.emplace_back(k, v);
-
-  for (int level = 0; level < max_levels(); ++level) {
+  // Lay `entries` (values are user values at level 0 and chunk references
+  // above) out as `level`'s data chunks after its head; returns the first
+  // key and ref of every chunk made — the entries of the level above.
+  // Level 0 reads `pairs` in place, so no copy of the input is ever made.
+  using Entries = std::vector<std::pair<Key, Value>>;
+  auto fill_level = [&](int level, const Entries& entries) {
     ChunkRef tail = head_[static_cast<std::size_t>(level)].load(
         std::memory_order_relaxed);
-    std::vector<std::pair<Key, Value>> raised;
-    std::int64_t made = 0;
-
-    for (std::size_t at = 0; at < current.size(); at += fill) {
-      const std::size_t n = std::min<std::size_t>(fill, current.size() - at);
+    Entries raised;
+    for (std::size_t at = 0; at < entries.size(); at += fill) {
+      const std::size_t n = std::min<std::size_t>(fill, entries.size() - at);
       const ChunkRef ch = arena_.alloc_locked();
       if (ch == NULL_CHUNK) throw std::bad_alloc();
       set_chunk_level(ch, level);
       for (std::size_t i = 0; i < n; ++i) {
         arena_.entry(ch, static_cast<int>(i))
-            .store(make_kv(current[at + i].first, current[at + i].second),
+            .store(make_kv(entries[at + i].first, entries[at + i].second),
                    std::memory_order_relaxed);
       }
-      const bool is_final = (at + n >= current.size());
-      const Key max_key = is_final ? KEY_INF : current[at + n - 1].first;
+      const bool is_final = (at + n >= entries.size());
+      const Key max_key = is_final ? KEY_INF : entries[at + n - 1].first;
       arena_.entry(ch, arena_.next_slot())
           .store(make_next_entry(max_key, NULL_CHUNK),
                  std::memory_order_relaxed);
@@ -122,15 +119,17 @@ void Gfsl::rebuild(const std::vector<std::pair<Key, Value>>& pairs) {
       arena_.entry(tail, arena_.next_slot())
           .store(make_next_entry(tail_max, ch), std::memory_order_relaxed);
 
-      raised.emplace_back(current[at].first, static_cast<Value>(ch));
+      raised.emplace_back(entries[at].first, static_cast<Value>(ch));
       tail = ch;
-      ++made;
     }
-
     level_chunks_[static_cast<std::size_t>(level)].store(
-        made, std::memory_order_relaxed);
-    if (raised.size() <= 1 || level + 1 >= max_levels()) break;
-    current = std::move(raised);
+        static_cast<std::int64_t>(raised.size()), std::memory_order_relaxed);
+    return raised;
+  };
+
+  Entries raised = fill_level(0, pairs);
+  for (int level = 1; level < max_levels() && raised.size() > 1; ++level) {
+    raised = fill_level(level, raised);
   }
 
   // Every chunk above was published unlocked by direct stores, not through

@@ -49,7 +49,7 @@ bool Gfsl::erase_committed(Team& team, Key k, const SlowSearchResult& sr) {
   // SnapshotManager).  Every remove_from_chunk below stamps under this rev.
   CommitScope commit(*this, team);
   ChunkRef bottom = team.shfl(sr.path, 0);
-  bottom = find_and_lock_enclosing(team, bottom, k);
+  bottom = find_and_lock_enclosing(team, bottom, k, 0);
   {
     const LaneVec<KV> bkv = read_chunk(team, bottom);
     if (!chunk_contains(team, bkv, k)) {
@@ -68,9 +68,9 @@ bool Gfsl::erase_committed(Team& team, Key k, const SlowSearchResult& sr) {
     const ChunkRef start = team.shfl(sr.path, i);
     // Probe before locking: checking containment first "significantly
     // reduces contention on the higher and less populated levels" (§4.2.3).
-    const auto [found, ch] = find_lateral(team, k, start);
+    const auto [found, ch] = find_lateral(team, k, start, i);
     if (!found) continue;
-    const ChunkRef enc = find_and_lock_enclosing(team, ch, k);
+    const ChunkRef enc = find_and_lock_enclosing(team, ch, k, i);
     // A false return (merge-split OOM) leaves the stale key in the upper
     // level; that is legal under strict=false validation and the key stays
     // unreachable once removed from the bottom.

@@ -1,10 +1,11 @@
 // Foresight hint index (DESIGN.md §14).
 //
 // A flat, sorted table of sampled (lo_key -> bottom-chunk {ref, gen}) hints
-// that lets any operation — per-op contains/find/insert/erase and the batch
-// engine's cold first descent — jump straight to a chunk at-or-left of its
-// key's bottom-level enclosing chunk instead of descending from the head
-// (grounding: "Skiplists with Foresight: Skipping Cache Misses", PAPERS.md).
+// that lets the per-op lookups (contains/find) jump straight to a chunk
+// at-or-left of their key's bottom-level enclosing chunk instead of
+// descending from the head (grounding: "Skiplists with Foresight: Skipping
+// Cache Misses", PAPERS.md).  Updates never consult it: their commit halves
+// need the per-level path only the classic descent records.
 //
 // Hint semantics.  Each hint records an *exclusive* lower coverage bound:
 // the sampled chunk was, at publication time, the enclosing chunk for every

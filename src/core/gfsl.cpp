@@ -289,7 +289,8 @@ void Gfsl::atomic_entry_write(Team& team, ChunkRef ref, int slot, KV v) {
   write_entry(team, ref, slot, v);
 }
 
-ChunkRef Gfsl::find_and_lock_enclosing(Team& team, ChunkRef start, Key k) {
+ChunkRef Gfsl::find_and_lock_enclosing(Team& team, ChunkRef start, Key k,
+                                       int level) {
   // Algorithm 4.8: lateral spin-search until the enclosing chunk is locked.
   // The spin on a held lock is bounded: each failed round probes the
   // holder's lease (an expired holder is repaired and its lock stolen) and
@@ -303,6 +304,7 @@ ChunkRef Gfsl::find_and_lock_enclosing(Team& team, ChunkRef start, Key k) {
   for (;;) {
     LaneVec<KV> kv = read_chunk(team, ch);
     if (chunk_not_enclosing(team, kv, k)) {
+      note_lateral(team, level);
       ch = next_of(team, kv);
       continue;
     }
@@ -323,6 +325,7 @@ ChunkRef Gfsl::find_and_lock_enclosing(Team& team, ChunkRef start, Key k) {
     if (chunk_not_enclosing(team, kv, k)) {
       // Lost a race (split/merge moved k's range right); release and chase.
       unlock(team, ch);
+      note_lateral(team, level);
       ch = next_of(team, kv);
       continue;
     }

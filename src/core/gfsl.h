@@ -129,12 +129,13 @@ class Gfsl {
   /// down to the min-snapshot watermark (DESIGN.md §13).
   /// `foresight` may be null: every operation descends from the head (seed
   /// semantics, bit-identical).  With a ForesightIndex attached, per-op
-  /// contains/find/insert/erase and the batch engine's cold descents consult
-  /// the published hint table and jump straight to a validated bottom-level
-  /// chunk, falling back to the classic descent on any generation mismatch
-  /// or zombie hit (DESIGN.md §14).  The table is rebuilt lazily, under the
-  /// consulting operation's epoch pin, once enough split/merge/recycle
-  /// events have accumulated.
+  /// contains/find consult the published hint table and jump straight to a
+  /// validated bottom-level chunk, falling back to the classic descent on
+  /// any generation mismatch or zombie hit (DESIGN.md §14).  Inserts, erases
+  /// and the batch engine always take the classic descent: their commit
+  /// halves walk each upper level from the recorded path.  The table is
+  /// rebuilt lazily, under the consulting lookup's epoch pin, once enough
+  /// split/merge/recycle events have accumulated.
   /// `integrity` may be null: no seal is ever computed or checked
   /// (bit-identical to the seed).  With an IntegritySidecar attached every
   /// lock release restamps the chunk's data-slot checksum, checked reads
@@ -394,7 +395,16 @@ class Gfsl {
   void mark_zombie(simt::Team& team, ChunkRef ref);
   /// Telemetry: a traversal ran into zombie `ref` and had to skip it.
   void note_zombie(simt::Team& team, ChunkRef ref);
-  ChunkRef find_and_lock_enclosing(simt::Team& team, ChunkRef start, Key k);
+  /// Telemetry: a per-level walk on `level` is about to read the next chunk.
+  /// Counted above the bottom only, where a walk that starts from the
+  /// recorded search path almost never steps (kUpperLateralReads).
+  void note_lateral(simt::Team& team, int level) {
+    if (level > 0) team.metric(obs::kUpperLateralReads);
+  }
+  /// Algorithm 4.8: lock the chunk enclosing k on `level`, walking right
+  /// from `start`.
+  ChunkRef find_and_lock_enclosing(simt::Team& team, ChunkRef start, Key k,
+                                   int level);
   /// Lock the next non-zombie chunk after `locked` (whose lock we hold),
   /// unlinking zombies on the way; NULL_CHUNK if `locked` is last in level.
   ChunkRef lock_next_chunk(simt::Team& team, ChunkRef locked);
@@ -418,8 +428,9 @@ class Gfsl {
   };
   SlowSearchResult search_slow(simt::Team& team, Key k);
 
-  /// Exact-key lateral search at any level; returns {found, chunk reached}.
-  std::pair<bool, ChunkRef> find_lateral(simt::Team& team, Key k, ChunkRef start);
+  /// Exact-key lateral search on `level`; returns {found, chunk reached}.
+  std::pair<bool, ChunkRef> find_lateral(simt::Team& team, Key k,
+                                         ChunkRef start, int level);
 
   /// searchDown that stops when reaching `target_level` (Algorithm 4.10).
   ChunkRef search_down_to_level(simt::Team& team, int target_level, Key k);

@@ -77,7 +77,7 @@ bool Gfsl::insert_committed(Team& team, Key k, Value v,
 
 Gfsl::InsertStatus Gfsl::insert_to_level(Team& team, int level, ChunkRef& enc,
                                          Key& k, Value v, bool& raise) {
-  enc = find_and_lock_enclosing(team, enc, k);
+  enc = find_and_lock_enclosing(team, enc, k, level);
   const LaneVec<KV> kv = read_chunk(team, enc);
   raise = false;
   if (chunk_contains(team, kv, k)) return InsertStatus::kDuplicate;

@@ -3,12 +3,28 @@
 // host-side and must only run while no team is operating.
 #pragma once
 
-#include <set>
 #include <vector>
 
 #include "core/gfsl.h"
 
 namespace gfsl::core {
+
+/// Visit the chain starting at `head` in place, calling fn(ref) once per
+/// chunk (zombies included) without copying anything.  Stops at a ref
+/// outside the pool or at the first revisited chunk; returns true in the
+/// latter case (the chain cycles).
+template <typename Fn>
+bool walk_chain(const ChunkArena& arena, ChunkRef head, Fn&& fn) {
+  std::vector<bool> seen(arena.capacity());
+  for (ChunkRef cur = head; cur != NULL_CHUNK && cur < arena.capacity();) {
+    if (seen[cur]) return true;
+    seen[cur] = true;
+    fn(cur);
+    cur = next_entry_ref(
+        arena.entries(cur)[arena.next_slot()].load(std::memory_order_acquire));
+  }
+  return false;
+}
 
 struct ChunkView {
   ChunkRef ref;
@@ -43,19 +59,18 @@ class GfslInspector {
   /// cycles.
   std::vector<ChunkView> level_chain(int level, bool* cycle) const {
     std::vector<ChunkView> out;
-    std::set<ChunkRef> seen;
-    ChunkRef cur = g_.head_[static_cast<std::size_t>(level)].load(
-        std::memory_order_acquire);
-    while (cur != NULL_CHUNK) {
-      if (!seen.insert(cur).second) {
-        if (cycle != nullptr) *cycle = true;
-        return out;
-      }
-      out.push_back(view(cur));
-      cur = out.back().next;
-    }
-    if (cycle != nullptr) *cycle = false;
+    const bool cyc = walk_chain(
+        g_.arena_,
+        g_.head_[static_cast<std::size_t>(level)].load(
+            std::memory_order_acquire),
+        [&](ChunkRef ref) { out.push_back(view(ref)); });
+    if (cycle != nullptr) *cycle = cyc;
     return out;
+  }
+
+  /// A level's head word, writable for white-box tests that forge damage.
+  std::atomic<ChunkRef>& head(int level) const {
+    return g_.head_[static_cast<std::size_t>(level)];
   }
 
   const Gfsl& g_;

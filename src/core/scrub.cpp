@@ -160,7 +160,7 @@ bool Gfsl::repair_upper_chunk(Team& team, ChunkRef ref, int level) {
     if (kv_is_empty(e)) continue;
     const Key k = kv_key(e);
     if (k < MIN_USER_KEY || k > MAX_USER_KEY || k > hi) continue;
-    const auto [found, home] = find_lateral(team, k, below_head);
+    const auto [found, home] = find_lateral(team, k, below_head, level - 1);
     if (!found) continue;
     kept.emplace_back(k, static_cast<Value>(home));
   }

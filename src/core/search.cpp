@@ -248,18 +248,13 @@ Gfsl::SlowSearchResult Gfsl::search_slow(Team& team, Key k) {
     LaneVec<KV> prev_kv;
     ChunkRef prev_ref = NULL_CHUNK;
     bool have_prev = false;
-    int height;
-    Guarded cur;
-    // A validated foresight hint skips the whole upper descent.  The upper
-    // path lanes keep their head-chunk defaults, which the commit halves
-    // tolerate explicitly (erase re-reads the height; insert's raise loop
-    // walks from the head — raises are rare).
-    if (foresight_start(team, k, &cur)) {
-      height = 0;
-    } else {
-      height = height_coop(team);
-      cur = guard_ref(head_of(team, height));
-    }
+    // Always the classic descent, never a foresight hint: the commit halves
+    // (erase's per-level peel, insert's raise loop) start each upper level
+    // from the chunk recorded here.  A hinted start would leave those lanes
+    // at the level heads and turn every upper-level step into a lateral walk
+    // over half the level (DESIGN.md §14).
+    int height = height_coop(team);
+    Guarded cur = guard_ref(head_of(team, height));
     bool restart = false;
 
     while (height > 0) {
@@ -450,7 +445,7 @@ std::size_t Gfsl::scan(Team& team, Key lo, Key hi,
 }
 
 std::pair<bool, ChunkRef> Gfsl::find_lateral(Team& team, Key k,
-                                             ChunkRef start) {
+                                             ChunkRef start, int level) {
   // Exact-key lateral search usable at any level (Delete's per-level
   // containment probe, updateDownPtrs' upper-level search).
   ChunkRef cur = start;
@@ -458,11 +453,13 @@ std::pair<bool, ChunkRef> Gfsl::find_lateral(Team& team, Key k,
     const LaneVec<KV> kv = read_chunk(team, cur);
     const int found = tid_with_equal_key(team, k, kv);
     if (found == team.next_lane()) {
+      note_lateral(team, level);
       cur = next_of(team, kv);
       continue;
     }
     if (is_zombie(team, kv)) {
       note_zombie(team, cur);
+      note_lateral(team, level);
       cur = next_of(team, kv);
       continue;
     }

@@ -321,7 +321,7 @@ void SnapshotManager::annul_live_record(ChunkRef c, Key k) {
     if (rec.key == k &&
         rec.erase_rev.load(std::memory_order_acquire) == kRevLive) {
       // [r, r) covers nothing: the record is dead at every snapshot and a
-      // future prune drops it as annulled.
+      // prune drops it once the watermark reaches r.
       rec.erase_rev.store(rec.insert_rev, std::memory_order_release);
       return;
     }
@@ -403,8 +403,12 @@ std::size_t SnapshotManager::prune_chain(ChunkRef c, Rev wm, Key chunk_max,
     const RecIdx nxt = r.next.load(std::memory_order_acquire);
     const Rev er = r.erase_rev.load(std::memory_order_acquire);
     const bool departed = er != kRevLive;
-    const bool annulled = departed && er <= r.insert_rev;
-    const bool drop = (departed && er <= wm) || annulled || r.key > chunk_max;
+    // An annulled record (erase_rev <= insert_rev: inserted and erased under
+    // one batch revision, or a rolled-back insert) is visible at no snapshot
+    // but still waits for the watermark: a scan_at whose snapshot predates
+    // it may hold a chunk image taken between the two writes, and only this
+    // record stops rule 2 from showing that transient entry.
+    const bool drop = (departed && er <= wm) || r.key > chunk_max;
     if (drop) {
       // Unlink; a racing lock-free walker already on `cur` still follows
       // its (unchanged) next, which is why the index must survive an epoch

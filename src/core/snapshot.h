@@ -198,9 +198,10 @@ class SnapshotManager {
   int copy_records(ChunkRef from, ChunkRef to, Key lo_excl, Key hi_incl);
 
   /// Drop from c's chain (under its lock): departed records with erase_rev
-  /// <= wm, annulled records, and records outside (0, chunk_max] (superseded
-  /// copies).  Freed indices land in `freed` — the caller must route them
-  /// through an epoch grace period before free_records().
+  /// <= wm (annulled ones included, no sooner) and records outside
+  /// (0, chunk_max] (superseded copies).  Freed indices land in `freed` —
+  /// the caller must route them through an epoch grace period before
+  /// free_records().
   std::size_t prune_chain(ChunkRef c, Rev wm, Key chunk_max,
                           std::vector<RecIdx>* freed);
   /// Detach c's whole chain (chunk being recycled); same grace contract.

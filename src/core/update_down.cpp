@@ -23,11 +23,12 @@ void Gfsl::update_down_ptrs(Team& team, int level, const MovedKeys& moved) {
 
   for (int c = 0; c < moved.count; ++c) {
     const Key mk = team.shfl(moved.keys, c);
-    const auto [found, ch] = find_lateral(team, mk, upper_ch);
+    const auto [found, ch] = find_lateral(team, mk, upper_ch, upper);
     upper_ch = ch;
     if (!found) continue;  // key was never raised to level i+1
 
-    const ChunkRef locked = find_and_lock_enclosing(team, upper_ch, mk);
+    const ChunkRef locked =
+        find_and_lock_enclosing(team, upper_ch, mk, upper);
     const LaneVec<KV> ukv = read_chunk(team, locked);
     const std::uint32_t bal = team.ballot_fn(
         [&](int i) { return i < team.dsize() && kv_key(ukv[i]) == mk; });
@@ -35,7 +36,8 @@ void Gfsl::update_down_ptrs(Team& team, int level, const MovedKeys& moved) {
     if (lane >= 0) {
       // Locate mk's current enclosing chunk in level i, reachable from the
       // chunk it was moved into, and swing the upper entry to it.
-      const auto [still_there, lower] = find_lateral(team, mk, moved.moved_to);
+      const auto [still_there, lower] =
+          find_lateral(team, mk, moved.moved_to, level);
       if (still_there) {
         // The swing is a single atomic write, so recovery has nothing to
         // repair — the intent exists so a crash mid-hold releases the lock.

@@ -1,33 +1,94 @@
 // Quiescent structural validation and inspection.  These walk the structure
 // host-side (no team, no accounting) and check the invariants Chapter 4.3
 // argues for.  They must only run while no team is operating.
+//
+// Both collect() and validate() read chunks in place and keep per-chunk
+// bookkeeping in flat pool-indexed arrays, never per-key node containers:
+// they run on multi-million-key structures next to the caller's own oracle,
+// so their footprint is part of what a verification pass costs.
 #include "core/gfsl.h"
 
-#include <map>
 #include <ostream>
-#include <set>
-#include <sstream>
 
 #include "core/inspect.h"
 
 namespace gfsl::core {
 
-std::vector<std::pair<Key, Value>> Gfsl::collect() const {
-  GfslInspector insp(*this);
-  std::vector<std::pair<Key, Value>> out;
-  for (const auto& ch : insp.level_chain(0, nullptr)) {
-    if (ch.lock == kZombie) continue;
-    for (const KV kv : ch.data) {
-      if (kv_key(kv) != KEY_NEG_INF) out.emplace_back(kv_key(kv), kv_value(kv));
+namespace {
+
+LockState lock_of(const std::atomic<KV>* e, const ChunkArena& arena) {
+  return lock_entry_state(
+      e[arena.lock_slot()].load(std::memory_order_acquire));
+}
+
+// fn(kv) for every user entry of the live chunks on the bottom chain.
+template <typename Fn>
+void for_each_bottom_entry(const ChunkArena& arena, ChunkRef head, Fn&& fn) {
+  walk_chain(arena, head, [&](ChunkRef ref) {
+    const std::atomic<KV>* e = arena.entries(ref);
+    if (lock_of(e, arena) == kZombie) return;
+    for (int i = 0; i < arena.dsize(); ++i) {
+      const KV kv = e[i].load(std::memory_order_acquire);
+      if (!kv_is_empty(kv) && kv_key(kv) != KEY_NEG_INF) fn(kv);
     }
+  });
+}
+
+// Ascending cursor over one level's live keys.  Only meaningful once that
+// level passed validate()'s ordering checks (keys strictly ascending along
+// the chain); queries must then come in ascending order too, which makes
+// "is k in this level" a merge-join instead of a per-key set.
+class LevelKeys {
+ public:
+  LevelKeys(const ChunkArena& arena, ChunkRef head)
+      : arena_(arena), ref_(head) {}
+
+  bool contains(Key k) {
+    while (ref_ != NULL_CHUNK) {
+      const std::atomic<KV>* e = arena_.entries(ref_);
+      if (lock_of(e, arena_) != kZombie) {
+        for (; slot_ < arena_.dsize(); ++slot_) {
+          const Key key = kv_key(e[slot_].load(std::memory_order_acquire));
+          if (key == KEY_NEG_INF || key == KEY_INF) continue;
+          if (key >= k) return key == k;
+        }
+      }
+      ref_ = next_entry_ref(
+          e[arena_.next_slot()].load(std::memory_order_acquire));
+      slot_ = 0;
+    }
+    return false;
   }
+
+ private:
+  const ChunkArena& arena_;
+  ChunkRef ref_;
+  int slot_ = 0;
+};
+
+}  // namespace
+
+std::vector<std::pair<Key, Value>> Gfsl::collect() const {
+  // Count, then fill an exactly sized vector: no growth by doubling.
+  const ChunkRef head = head_[0].load(std::memory_order_acquire);
+  std::size_t n = 0;
+  for_each_bottom_entry(arena_, head, [&](KV) { ++n; });
+  std::vector<std::pair<Key, Value>> out;
+  out.reserve(n);
+  for_each_bottom_entry(arena_, head, [&](KV kv) {
+    out.emplace_back(kv_key(kv), kv_value(kv));
+  });
   return out;
 }
 
-std::uint64_t Gfsl::size() const { return collect().size(); }
+std::uint64_t Gfsl::size() const {
+  std::uint64_t n = 0;
+  for_each_bottom_entry(arena_, head_[0].load(std::memory_order_acquire),
+                        [&](KV) { ++n; });
+  return n;
+}
 
 ValidationReport Gfsl::validate(bool strict) const {
-  GfslInspector insp(*this);
   ValidationReport rep;
   auto fail = [&](const std::string& msg) {
     if (rep.ok) {
@@ -35,22 +96,50 @@ ValidationReport Gfsl::validate(bool strict) const {
       rep.error = msg;
     }
   };
+  const std::uint32_t cap = arena_.capacity();
+  const int dsz = arena_.dsize();
+  auto head_at = [&](int l) {
+    return head_[static_cast<std::size_t>(l)].load(std::memory_order_acquire);
+  };
+  auto next_at = [&](ChunkRef ref) {
+    return arena_.entries(ref)[arena_.next_slot()].load(
+        std::memory_order_acquire);
+  };
 
-  std::vector<std::set<Key>> level_keys(static_cast<std::size_t>(max_levels()));
-  std::vector<std::map<Key, ChunkRef>> down_ptr(
+  // Bit l of on_level[ref]: level l's chain reaches ref (zombies included).
+  std::vector<std::uint32_t> on_level(cap, 0);
+  // Upper levels' (key, down pointer) entries in chain order — ascending
+  // once the level passed its ordering checks.
+  std::vector<std::vector<std::pair<Key, ChunkRef>>> down_ptr(
       static_cast<std::size_t>(max_levels()));
-  std::vector<std::set<ChunkRef>> live_refs(
-      static_cast<std::size_t>(max_levels()));
-  std::set<ChunkRef> reachable;  // every chain ref, zombies included
 
   for (int l = 0; l < max_levels(); ++l) {
+    const std::uint32_t bit = 1u << l;
+    // Membership pass first: a cyclic level fails as a cycle before any of
+    // its chunks is judged.
     bool cycle = false;
-    const auto chain = insp.level_chain(l, &cycle);
+    bool out_of_pool = false;
+    for (ChunkRef ref = head_at(l); ref != NULL_CHUNK;
+         ref = next_entry_ref(next_at(ref))) {
+      if (ref >= cap) {
+        out_of_pool = true;
+        break;
+      }
+      if ((on_level[ref] & bit) != 0) {
+        cycle = true;
+        break;
+      }
+      on_level[ref] |= bit;
+    }
     if (cycle) {
       fail("cycle in level " + std::to_string(l));
       break;
     }
-    if (chain.empty()) {
+    if (out_of_pool) {
+      fail("level " + std::to_string(l) + " links to a chunk outside the pool");
+      break;
+    }
+    if (head_at(l) == NULL_CHUNK) {
       fail("level " + std::to_string(l) + " has no chunks");
       break;
     }
@@ -58,109 +147,126 @@ ValidationReport Gfsl::validate(bool strict) const {
     bool saw_neg_inf = false;
     Key prev_max_key = 0;
     bool have_prev = false;
-    for (std::size_t ci = 0; ci < chain.size(); ++ci) {
-      const ChunkView& ch = chain[ci];
-      std::ostringstream where;
-      where << "level " << l << " chunk " << ch.ref;
+    Key last_key = KEY_NEG_INF;  // previous user key along the level
+    for (ChunkRef ref = head_at(l); ref != NULL_CHUNK;) {
+      const std::atomic<KV>* e = arena_.entries(ref);
+      const KV nx = next_at(ref);
+      const ChunkRef next = next_entry_ref(nx);
+      const Key max = next_entry_max(nx);
+      const LockState lock = lock_of(e, arena_);
+      auto where = [&] {
+        return "level " + std::to_string(l) + " chunk " + std::to_string(ref);
+      };
 
-      reachable.insert(ch.ref);
-      if (ch.lock == kLocked) fail(where.str() + " left locked at quiescence");
-      if (ch.lock == kZombie) {
+      if (lock == kLocked) fail(where() + " left locked at quiescence");
+      if (lock == kZombie) {
         ++rep.zombie_chunks;
+        ref = next;
         continue;  // zombie contents are stale by design
       }
       ++rep.live_chunks;
-      rep.data_entries += ch.data.size();
-      live_refs[static_cast<std::size_t>(l)].insert(ch.ref);
 
-      // EMPTY entries grouped at the end: the inspector's view already drops
-      // empties, so verify no empty slot precedes a non-empty one directly.
-      {
-        const std::atomic<KV>* e = arena_.entries(ch.ref);
-        bool seen_empty = false;
-        for (int i = 0; i < arena_.dsize(); ++i) {
-          const bool empty = kv_is_empty(e[i].load(std::memory_order_acquire));
-          if (empty) {
-            seen_empty = true;
-          } else if (seen_empty) {
-            fail(where.str() + ": non-empty entry after an empty one");
-          }
+      // Data slots in slot order; EMPTY entries must be grouped at the end.
+      int count = 0;
+      Key first = KEY_INF;
+      Key last = KEY_INF;
+      bool seen_empty = false;
+      bool sorted = true;
+      for (int i = 0; i < dsz; ++i) {
+        const KV kv = e[i].load(std::memory_order_acquire);
+        if (kv_is_empty(kv)) {
+          seen_empty = true;
+          continue;
         }
+        if (seen_empty) fail(where() + ": non-empty entry after an empty one");
+        const Key key = kv_key(kv);
+        if (count > 0 && last >= key) sorted = false;
+        if (count == 0) first = key;
+        last = key;
+        ++count;
       }
-
+      rep.data_entries += static_cast<std::uint64_t>(count);
       // Internal sortedness, strictly ascending.
-      for (std::size_t i = 1; i < ch.data.size(); ++i) {
-        if (kv_key(ch.data[i - 1]) >= kv_key(ch.data[i])) {
-          fail(where.str() + ": data not strictly sorted");
-        }
-      }
+      if (!sorted) fail(where() + ": data not strictly sorted");
 
       // Max-field discipline: last chunk carries inf; any other non-zombie
       // chunk's max equals its largest key.
-      const bool is_last = (ch.next == NULL_CHUNK);
-      if (is_last) {
-        if (ch.max != KEY_INF) fail(where.str() + ": last chunk max != inf");
-      } else if (ch.data.empty()) {
-        fail(where.str() + ": empty non-last chunk");
-      } else if (snaps_ == nullptr ? ch.max != kv_key(ch.data.back())
-                                   : ch.max < kv_key(ch.data.back())) {
+      if (next == NULL_CHUNK) {
+        if (max != KEY_INF) fail(where() + ": last chunk max != inf");
+      } else if (count == 0) {
+        fail(where() + ": empty non-last chunk");
+      } else if (snaps_ == nullptr ? max != last : max < last) {
         // With versioning attached, erasing a chunk's max key keeps the max
         // field sticky (erase.cpp) so the key's version record stays in
         // range — the field may exceed the largest key, never undercut it.
-        fail(where.str() + ": max field != largest key");
+        fail(where() + ": max field != largest key");
       }
 
       // Lateral ordering between consecutive non-zombie chunks (§4.3).
-      if (!ch.data.empty()) {
-        if (have_prev && kv_key(ch.data.front()) <= prev_max_key) {
-          fail(where.str() + ": overlaps previous chunk's range");
+      if (count > 0) {
+        if (have_prev && first <= prev_max_key) {
+          fail(where() + ": overlaps previous chunk's range");
         }
-        prev_max_key = kv_key(ch.data.back());
+        prev_max_key = last;
         have_prev = true;
       }
 
-      for (const KV kv : ch.data) {
+      for (int i = 0; i < dsz; ++i) {
+        const KV kv = e[i].load(std::memory_order_acquire);
+        if (kv_is_empty(kv)) continue;
         const Key key = kv_key(kv);
         if (key == KEY_NEG_INF) {
           saw_neg_inf = true;
           continue;
         }
-        if (!level_keys[static_cast<std::size_t>(l)].insert(key).second) {
-          fail(where.str() + ": duplicate key " + std::to_string(key));
+        // The ordering checks above already reject any repeat; this names
+        // the adjacent one.
+        if (key == last_key) {
+          fail(where() + ": duplicate key " + std::to_string(key));
         }
+        last_key = key;
+        if (l == 0) ++rep.bottom_keys;
         if (l > 0) {
-          down_ptr[static_cast<std::size_t>(l)][key] =
-              static_cast<ChunkRef>(kv_value(kv));
+          down_ptr[static_cast<std::size_t>(l)].emplace_back(
+              key, static_cast<ChunkRef>(kv_value(kv)));
         }
       }
+      ref = next;
     }
     if (!saw_neg_inf) fail("level " + std::to_string(l) + " lost its -inf key");
   }
 
-  rep.bottom_keys = level_keys[0].size();
   rep.height = current_height();
 
   // Down-pointer validity: from the pointed-to chunk, the key's enclosing
   // chunk must be laterally reachable (§4.3 "Order Between Down Pointers").
+  // `walked` clears the per-walk visited bits so the bitmap is reused.
+  std::vector<bool> visited(cap);
+  std::vector<ChunkRef> walked;
   for (int l = 1; l < max_levels() && rep.ok; ++l) {
+    const std::uint32_t below_bit = 1u << (l - 1);
+    LevelKeys below(arena_, head_at(l - 1));
     for (const auto& [key, target] : down_ptr[static_cast<std::size_t>(l)]) {
-      ChunkRef cur = target;
       bool reached = false;
-      std::set<ChunkRef> seen;
-      while (cur != NULL_CHUNK && seen.insert(cur).second) {
-        const auto ch = insp.view(cur);
-        if (ch.lock != kZombie && ch.max >= key) {
-          reached = live_refs[static_cast<std::size_t>(l - 1)].count(cur) > 0;
+      for (ChunkRef cur = target; cur != NULL_CHUNK && cur < cap &&
+                                  !visited[cur];) {
+        visited[cur] = true;
+        walked.push_back(cur);
+        const KV nx = next_at(cur);
+        if (lock_of(arena_.entries(cur), arena_) != kZombie &&
+            next_entry_max(nx) >= key) {
+          reached = (on_level[cur] & below_bit) != 0;
           break;
         }
-        cur = ch.next;
+        cur = next_entry_ref(nx);
       }
+      for (const ChunkRef r : walked) visited[r] = false;
+      walked.clear();
       if (!reached) {
         fail("level " + std::to_string(l) + " key " + std::to_string(key) +
              ": enclosing chunk below not reachable from its down pointer");
       }
-      if (strict &&
-          level_keys[static_cast<std::size_t>(l - 1)].count(key) == 0) {
+      if (strict && !below.contains(key)) {
         fail("level " + std::to_string(l) + " key " + std::to_string(key) +
              " missing from level below (strict)");
       }
@@ -175,30 +281,30 @@ ValidationReport Gfsl::validate(bool strict) const {
   // where the unlink's retire may not have run, so only under strict).
   rep.free_chunks = arena_.free_count();
   if (epochs_ != nullptr) {
-    std::set<ChunkRef> limbo;
-    for (const ChunkRef ref : epochs_->limbo_snapshot()) limbo.insert(ref);
-    rep.limbo_chunks = limbo.size();
+    std::vector<bool> limbo(cap);
+    for (const ChunkRef ref : epochs_->limbo_snapshot()) {
+      if (ref < cap && !limbo[ref]) {
+        limbo[ref] = true;
+        ++rep.limbo_chunks;
+      }
+    }
     if (rep.ok) {
       const std::uint32_t hw = arena_.high_water();
       for (std::uint32_t i = 0; i < hw; ++i) {
         const auto ref = static_cast<ChunkRef>(i);
-        const std::string name = "chunk " + std::to_string(i);
+        auto name = [&] { return "chunk " + std::to_string(i); };
+        const bool linked = on_level[ref] != 0;
         if ((arena_.generation(ref) & 1u) != 0) {  // on the free-list
-          if (reachable.count(ref) != 0) fail(name + ": free but reachable");
-          if (limbo.count(ref) != 0) fail(name + ": free but in limbo");
+          if (linked) fail(name() + ": free but reachable");
+          if (limbo[ref]) fail(name() + ": free but in limbo");
           continue;
         }
-        const KV lk =
-            arena_.entries(ref)[arena_.lock_slot()].load(
-                std::memory_order_acquire);
-        if (lock_entry_state(lk) == kZombie) {
-          const bool linked = reachable.count(ref) != 0;
-          const bool limboed = limbo.count(ref) != 0;
-          if (linked && limboed) {
-            fail(name + ": zombie both reachable and in limbo");
+        if (lock_of(arena_.entries(ref), arena_) == kZombie) {
+          if (linked && limbo[ref]) {
+            fail(name() + ": zombie both reachable and in limbo");
           }
-          if (strict && !linked && !limboed) {
-            fail(name + ": zombie neither reachable nor in limbo (leak)");
+          if (strict && !linked && !limbo[ref]) {
+            fail(name() + ": zombie neither reachable nor in limbo (leak)");
           }
         }
       }
@@ -212,26 +318,32 @@ ValidationReport Gfsl::validate(bool strict) const {
   // Records beyond the chunk's max are superseded split copies (prunable,
   // not a fault); annulled and departed records assert nothing.
   if (snaps_ != nullptr && rep.ok) {
-    for (const auto& ch : insp.level_chain(0, nullptr)) {
-      if (ch.lock == kZombie) continue;
-      std::map<Key, Value> here;
-      for (const KV kv : ch.data) here[kv_key(kv)] = kv_value(kv);
+    for (ChunkRef ref = head_at(0); ref != NULL_CHUNK;
+         ref = next_entry_ref(next_at(ref))) {
+      const std::atomic<KV>* e = arena_.entries(ref);
+      if (lock_of(e, arena_) == kZombie) continue;
+      const Key max = next_entry_max(next_at(ref));
       std::uint32_t steps = 0;
-      for (RecIdx i = snaps_->chain_head(ch.ref);
+      for (RecIdx i = snaps_->chain_head(ref);
            i != SnapshotManager::kNullRec && steps < snaps_->walk_cap();
            ++steps) {
         const VersionRec& r = snaps_->rec(i);
         const Rev er = r.erase_rev.load(std::memory_order_acquire);
-        if (er == SnapshotManager::kRevLive && r.key <= ch.max) {
-          const auto it = here.find(r.key);
-          if (it == here.end()) {
-            fail("level 0 chunk " + std::to_string(ch.ref) +
-                 ": live version record for absent key " +
+        if (er == SnapshotManager::kRevLive && r.key <= max) {
+          int at = -1;
+          for (int s = 0; s < dsz && at < 0; ++s) {
+            const KV kv = e[s].load(std::memory_order_acquire);
+            if (!kv_is_empty(kv) && kv_key(kv) == r.key) at = s;
+          }
+          const std::string where = "level 0 chunk " + std::to_string(ref);
+          if (at < 0) {
+            fail(where + ": live version record for absent key " +
                  std::to_string(r.key));
-          } else if (it->second != r.value) {
-            fail("level 0 chunk " + std::to_string(ch.ref) + ": key " +
-                 std::to_string(r.key) + " value " +
-                 std::to_string(it->second) +
+          } else if (const Value v =
+                         kv_value(e[at].load(std::memory_order_acquire));
+                     v != r.value) {
+            fail(where + ": key " + std::to_string(r.key) + " value " +
+                 std::to_string(v) +
                  " disagrees with its live version record " +
                  std::to_string(r.value));
           }

@@ -5,6 +5,26 @@
 
 namespace gfsl::device {
 
+namespace {
+
+// Try-lock rounds access() spins before it blocks on the lock.  The critical
+// section is one 16-way tag scan, far shorter than a futex sleep and wake: a
+// team that blocks waits until the host resumes its halted CPU, so with
+// teams on separate threads, throughput followed the host's load from run to
+// run.  Past the bound (a descheduled holder, more teams than cores) the
+// waiter blocks as before.
+constexpr int kLockSpins = 256;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+}  // namespace
+
 CacheSim::CacheSim(const CacheConfig& cfg) : cfg_(cfg) {
   if (cfg_.line_bytes == 0 || (cfg_.line_bytes & (cfg_.line_bytes - 1)) != 0) {
     throw std::invalid_argument("cache line size must be a power of two");
@@ -23,7 +43,12 @@ bool CacheSim::access(std::uint64_t byte_addr) {
   const std::uint32_t set = static_cast<std::uint32_t>(line % num_sets_);
   const std::uint64_t tag = line / num_sets_;
 
-  std::lock_guard<std::mutex> lk(mu_);
+  std::unique_lock<std::mutex> lk(mu_, std::try_to_lock);
+  for (int i = 0; !lk.owns_lock() && i < kLockSpins; ++i) {
+    cpu_relax();
+    lk.try_lock();
+  }
+  if (!lk.owns_lock()) lk.lock();
   ++tick_;
   Way* base = &ways_[static_cast<std::size_t>(set) * cfg_.associativity];
 

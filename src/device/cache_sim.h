@@ -25,8 +25,9 @@ class CacheSim {
   explicit CacheSim(const CacheConfig& cfg = CacheConfig{});
 
   /// Access one cache line by byte address; returns true on hit.
-  /// Thread-safe (internally locked): the simulator runs teams on separate
-  /// host threads while sharing one modeled L2.
+  /// Thread-safe (internally locked; a waiter spins briefly before it
+  /// blocks): the simulator runs teams on separate host threads while
+  /// sharing one modeled L2.
   bool access(std::uint64_t byte_addr);
 
   /// Drop all cached lines (used between kernel launches).
@@ -47,10 +48,16 @@ class CacheSim {
   CacheConfig cfg_;
   std::uint32_t num_sets_;
   std::vector<Way> ways_;  // num_sets_ * associativity, row-major by set
+  // The lock and the counters it guards fill one cache line of their own
+  // (40 + 24 bytes): the holder's updates hit the line its acquisition just
+  // pulled in, and nothing read or written outside the lock — the
+  // configuration above, DeviceMemory's relaxed counters — can share it.
+  // Left to the heap's placement, that sharing came and went between runs
+  // and flipped multi-team wall-clock throughput between two modes.
+  alignas(64) std::mutex mu_;
   std::uint64_t tick_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::mutex mu_;
 };
 
 }  // namespace gfsl::device

@@ -98,7 +98,9 @@ class DeviceMemory {
   FaultPlane* fault_plane_ = nullptr;
   std::atomic<bool> accounting_;
   // Relaxed atomics: counters are aggregated, never used for synchronization.
-  std::atomic<std::uint64_t> warp_reads_{0};
+  // They start a cache line of their own, away from the read-mostly words
+  // above and from the L2 model's lock line.
+  alignas(64) std::atomic<std::uint64_t> warp_reads_{0};
   std::atomic<std::uint64_t> warp_writes_{0};
   std::atomic<std::uint64_t> lane_reads_{0};
   std::atomic<std::uint64_t> lane_writes_{0};

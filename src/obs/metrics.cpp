@@ -81,6 +81,7 @@ std::string_view counter_name(CounterId id) {
     case kLockHoldSteps: return "lock_hold_steps";
     case kZombieEncounters: return "zombie_encounters";
     case kRestarts: return "restarts";
+    case kUpperLateralReads: return "upper_lateral_reads";
     case kLeaseExpiries: return "lease_expiries";
     case kLockSteals: return "lock_steals";
     case kRecoveryRollForward: return "recovery_roll_forward";

@@ -103,6 +103,10 @@ enum CounterId : int {
   kLockHoldSteps,  // lockstep instructions elapsed while holding chunk locks
   kZombieEncounters,
   kRestarts,
+  kUpperLateralReads,    // chunk reads after a lateral step at level >= 1 in
+                         // the per-level probe/lock walks (find_lateral,
+                         // find_and_lock_enclosing): ~0 per op when the
+                         // commit halves start from the recorded path
   kLeaseExpiries,        // expired-lease observations while spinning on a lock
   kLockSteals,           // dead teams' locks force-released (clean or post-repair)
   kRecoveryRollForward,  // intents completed on the dead team's behalf

@@ -8,6 +8,7 @@
 // result or the final contents.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -170,19 +171,179 @@ TEST(ForesightAccounting, ChurnKeepsHitPlusFallbackCoveringEveryConsult) {
   team.set_metrics(&shard);
   Xoshiro256ss rng(0xACC2);
   constexpr int kOps = 2000;
+  std::uint64_t lookups = 0;
   for (int i = 0; i < kOps; ++i) {
-    apply_op(sl, team, random_op(rng, 128, 40, 40));
+    const Op op = random_op(rng, 128, 40, 40);
+    if (op.kind == OpKind::Contains) ++lookups;
+    apply_op(sl, team, op);
   }
   team.set_metrics(nullptr);
 
   const std::uint64_t hits = shard.counter(obs::kForesightHits);
   const std::uint64_t falls = shard.counter(obs::kForesightFallbacks);
   const std::uint64_t stale = shard.counter(obs::kForesightStaleHints);
-  // Staleness restarts re-consult, so consults >= ops; the invariant is that
-  // the two verdicts partition the consults and staleness implies fallback.
-  EXPECT_GE(hits + falls, static_cast<std::uint64_t>(kOps));
+  // Only lookups consult (updates take the classic descent), and staleness
+  // restarts re-consult, so consults >= lookups; the invariant is that the
+  // two verdicts partition the consults and staleness implies fallback.
+  ASSERT_GT(lookups, 0u);
+  EXPECT_GE(hits + falls, lookups);
   EXPECT_LE(stale, falls) << "a stale hint must always take the fallback";
   const auto rep = sl.validate(/*strict=*/true);
+  EXPECT_TRUE(rep.ok) << rep.error;
+}
+
+TEST(ForesightAccounting, UpdatesNeverConsult) {
+  device::DeviceMemory mem;
+  device::EpochManager epochs;
+  ForesightIndex foresight(1u << 12);
+  GfslConfig cfg;
+  cfg.team_size = 8;
+  cfg.pool_chunks = 1u << 12;
+  Gfsl sl(cfg, &mem, nullptr, nullptr, &epochs, nullptr, nullptr, &foresight);
+  Team team(8, 0, 5);
+  sl.bulk_load(ascending_pairs(1, 1000));
+  sl.foresight_prime(team);
+
+  obs::MetricsShard shard;
+  team.set_metrics(&shard);
+  Xoshiro256ss rng(0xACC3);
+  for (int i = 0; i < 1000; ++i) {
+    apply_op(sl, team, random_op(rng, 1500, 50, 50));
+  }
+  BatchCursor cur;
+  for (Key k = 1; k <= 1500; k += 7) {
+    if (k % 2 == 0) {
+      sl.insert_batch(team, k, value_of(k), cur);
+    } else {
+      sl.erase_batch(team, k, cur);
+    }
+  }
+  team.set_metrics(nullptr);
+
+  EXPECT_EQ(shard.counter(obs::kForesightHits) +
+                shard.counter(obs::kForesightFallbacks),
+            0u)
+      << "an insert or erase consulted the hint table";
+  const auto rep = sl.validate(/*strict=*/true);
+  EXPECT_TRUE(rep.ok) << rep.error;
+}
+
+// ---------------------------------------------------------------------------
+// Hinted updates keep the classic path: with foresight attached, an erase of
+// a raised key and an insert that raises must each read O(height) chunks in
+// total.  Before the fix a validated hint skipped the upper descent, the
+// commit halves walked every upper level from its head, and each such op
+// read about half of level 1 — at 1M keys, a thousand chunks or more.
+
+constexpr int kBoundTeam = 32;
+
+struct BoundFixture {
+  device::DeviceMemory mem;
+  device::EpochManager epochs;
+  ForesightIndex foresight{1u << 16};
+  Gfsl sl;
+  Team team{kBoundTeam, 0, 5};
+  Pairs pairs;
+
+  static GfslConfig config() {
+    GfslConfig cfg;
+    cfg.team_size = kBoundTeam;
+    cfg.pool_chunks = 1u << 16;
+    return cfg;
+  }
+
+  // 1M even keys: the odd keys in between stay insertable.
+  BoundFixture()
+      : sl(config(), &mem, nullptr, nullptr, &epochs, nullptr, nullptr,
+           &foresight) {
+    pairs.reserve(1'000'000);
+    for (Key k = 2; k <= 2'000'000; k += 2) pairs.emplace_back(k, value_of(k));
+    sl.bulk_load(pairs);
+    sl.foresight_prime(team);
+  }
+
+  // bulk_load fills each chunk to 3/4 and raises every chunk's first key:
+  // `index`-th level-0 chunk starts at pairs[index * kFill].
+  static constexpr std::size_t kFill = (kBoundTeam - 2) * 3 / 4;
+
+  // Warp reads (chunk reads plus the small head/height reads) of one op.
+  template <typename Fn>
+  std::uint64_t reads_of(Fn&& op) {
+    const std::uint64_t before = mem.snapshot().warp_reads;
+    op();
+    return mem.snapshot().warp_reads - before;
+  }
+};
+
+// Generous slack over the height: the search's height/head reads, the
+// lock-and-recheck re-reads, one probe per level, a split's down-pointer
+// repair probes — all independent of how long the levels are.
+constexpr std::uint64_t kReadSlack = 48;
+
+TEST(ForesightUpdates, HintedEraseOfRaisedKeyReadsBoundedChunks) {
+  BoundFixture f;
+  const int height = f.sl.current_height();
+  ASSERT_GE(f.sl.chunks_in_level(1), 1500) << "level 1 too short to matter";
+
+  const std::size_t chunks0 = f.pairs.size() / BoundFixture::kFill;
+  // A level-2 key (first key of a level-1 chunk) near the middle, and a
+  // level-1 key at three quarters of the key space.
+  const Key mid = f.pairs[(chunks0 / 2 / BoundFixture::kFill) *
+                          BoundFixture::kFill * BoundFixture::kFill]
+                      .first;
+  const Key late = f.pairs[(chunks0 * 3 / 4) * BoundFixture::kFill].first;
+
+  const std::uint64_t per_op =
+      f.reads_of([&] { ASSERT_TRUE(f.sl.erase(f.team, mid)); });
+  EXPECT_LE(per_op, static_cast<std::uint64_t>(height) + kReadSlack)
+      << "per-op erase of raised key " << mid;
+
+  BatchCursor cur;
+  const std::uint64_t batched =
+      f.reads_of([&] { ASSERT_TRUE(f.sl.erase_batch(f.team, late, cur)); });
+  EXPECT_LE(batched, static_cast<std::uint64_t>(height) + kReadSlack)
+      << "batched erase of raised key " << late;
+
+  EXPECT_FALSE(f.sl.contains(f.team, mid));
+  EXPECT_FALSE(f.sl.contains(f.team, late));
+  const auto rep = f.sl.validate(/*strict=*/true);
+  EXPECT_TRUE(rep.ok) << rep.error;
+}
+
+TEST(ForesightUpdates, HintedInsertThatRaisesReadsBoundedChunks) {
+  BoundFixture f;
+  const int height = f.sl.current_height();
+  const std::size_t chunks0 = f.pairs.size() / BoundFixture::kFill;
+
+  // Fill one level-0 chunk with the odd keys inside its range until an
+  // insert splits it; p_chunk = 1, so that split raises a key to level 1.
+  auto fill_until_split = [&](std::size_t chunk, bool batched) {
+    const Key first = f.pairs[chunk * BoundFixture::kFill].first;
+    BatchCursor cur;
+    std::uint64_t worst = 0;
+    for (Key k = first + 1;; k += 2) {
+      const std::int64_t level0 = f.sl.chunks_in_level(0);
+      const std::uint64_t reads = f.reads_of([&] {
+        ASSERT_TRUE(batched ? f.sl.insert_batch(f.team, k, value_of(k), cur)
+                            : f.sl.insert(f.team, k, value_of(k)));
+      });
+      worst = std::max(worst, reads);
+      if (f.sl.chunks_in_level(0) > level0) return worst;  // split + raise
+      if (k > first + 2 * BoundFixture::kFill) {
+        ADD_FAILURE() << "chunk " << chunk << " never split";
+        return worst;
+      }
+    }
+  };
+
+  const std::uint64_t per_op = fill_until_split(chunks0 / 2, false);
+  EXPECT_LE(per_op, static_cast<std::uint64_t>(height) + kReadSlack)
+      << "per-op insert that raises";
+  const std::uint64_t batched = fill_until_split(chunks0 * 3 / 4, true);
+  EXPECT_LE(batched, static_cast<std::uint64_t>(height) + kReadSlack)
+      << "batched insert that raises";
+
+  const auto rep = f.sl.validate(/*strict=*/true);
   EXPECT_TRUE(rep.ok) << rep.error;
 }
 

@@ -218,6 +218,37 @@ TEST(SnapshotExpiry, DegradeExpiresHoldersButNotTheStructure) {
 // ---------------------------------------------------------------------------
 // Watermark GC: bounded memory under churn with a rotating snapshot holder.
 
+TEST(SnapshotGC, AnnulledRecordOutlivesOlderSnapshots) {
+  // One batch revision r inserts and erases key k: the record {k, r, r} is
+  // visible at no snapshot, yet a scan_at at an older snapshot may hold a
+  // chunk image from between the two writes, with k's entry in it; only
+  // the record keeps rule 2 from harvesting that entry.  Pruning must keep
+  // it until the watermark reaches r.
+  SnapshotManager snaps(16);
+  const ChunkRef c = 1;
+  const Key k = 40;
+  Snapshot older = snaps.acquire();
+  ASSERT_TRUE(older.open());
+  const int slot = snaps.acquire_batch_slot();
+  ASSERT_GE(slot, 0);
+  const Rev r = snaps.begin_commit(slot);
+  ASSERT_GT(r, older.rev);
+  ASSERT_TRUE(snaps.record_insert(c, k, 7, r));
+  ASSERT_TRUE(snaps.mark_erased(c, k, 7, r));
+
+  std::vector<RecIdx> freed;
+  EXPECT_EQ(snaps.prune_chain(c, snaps.watermark(), KEY_INF, &freed), 0u);
+  snaps.end_commit(slot);
+  snaps.release_batch_slot(slot);
+  EXPECT_EQ(snaps.prune_chain(c, snaps.watermark(), KEY_INF, &freed), 0u);
+  EXPECT_EQ(snaps.chain_length(c), 1u);
+
+  snaps.release(older);
+  EXPECT_EQ(snaps.prune_chain(c, snaps.watermark(), KEY_INF, &freed), 1u);
+  EXPECT_EQ(snaps.chain_length(c), 0u);
+  snaps.free_records(freed);
+}
+
 TEST(SnapshotGC, RotatingHolderKeepsRecordArenaBounded) {
   device::DeviceMemory mem;
   device::EpochManager epochs;
