@@ -6,14 +6,16 @@
 // causes more lateral steps to be taken, while not having a significant
 // impact on structure height."  This bench sweeps p_chunk and reports
 // modeled throughput, structure height and chunks-read-per-traversal.
-#include "bench_common.h"
+#include <iostream>
+
+#include "harness/campaign.h"
+#include "harness/report.h"
 
 using namespace gfsl;
-using namespace gfsl::bench;
 
 int main() {
   const Scale sc = Scale::from_env();
-  print_scale_banner(sc);
+  harness::print_scale_banner(sc);
   const std::uint64_t range = std::min<std::uint64_t>(1'000'000, sc.max_range);
   std::printf("# p_chunk ablation: GFSL-32, mix [10,10,80], range %s\n",
               harness::fmt_range(range).c_str());
@@ -24,8 +26,9 @@ int main() {
   double best_mops = 0.0;
   double best_p = 0.0;
   for (const double p : {0.2, 0.4, 0.6, 0.8, 1.0}) {
-    auto wl = workload(harness::kMix_10_10_80, range, sc.ops, sc.seed);
-    auto setup = setup_from_scale(sc);
+    auto wl = harness::make_workload(harness::kMix_10_10_80, range,
+                                     sc.ops, sc.seed);
+    auto setup = harness::setup_from_scale(sc);
     setup.p_chunk = p;
     const auto m = harness::measure_gfsl(wl, setup);
     if (m.model_mops > best_mops) {

@@ -14,14 +14,16 @@
 // their instruction issue serialized.  The conjecture to test: GFSL-16x2
 // recovers the 128 B single-transaction chunk reads AND warp-level op
 // parallelism, beating GFSL-32.
-#include "bench_common.h"
+#include <iostream>
+
+#include "harness/campaign.h"
+#include "harness/report.h"
 
 using namespace gfsl;
-using namespace gfsl::bench;
 
 int main() {
   const Scale sc = Scale::from_env();
-  print_scale_banner(sc);
+  harness::print_scale_banner(sc);
   std::printf("# Extension: GFSL-16 x2 teams/warp vs GFSL-16 and GFSL-32\n");
   std::printf("# thesis conjecture: dual-team GFSL-16 should beat GFSL-32\n\n");
 
@@ -29,9 +31,10 @@ int main() {
   harness::Table t({"range", "GFSL-16 MOPS", "GFSL-32 MOPS", "GFSL-16x2 MOPS",
                     "16x2 / 32"});
   for (const auto range : harness::sweep_ranges(sc.max_range)) {
-    auto wl = workload(harness::kMix_10_10_80, range, sc.ops, sc.seed);
-    const auto s16 = setup_from_scale(sc, /*team_size=*/16);
-    const auto s32 = setup_from_scale(sc, /*team_size=*/32);
+    auto wl = harness::make_workload(harness::kMix_10_10_80, range,
+                                     sc.ops, sc.seed);
+    const auto s16 = harness::setup_from_scale(sc, /*team_size=*/16);
+    const auto s32 = harness::setup_from_scale(sc, /*team_size=*/32);
     const auto g16 = harness::repeat_gfsl(wl, s16, reps);
     const auto g32 = harness::repeat_gfsl(wl, s32, reps);
     const auto dual = harness::repeat_gfsl_dual(wl, s16, reps);

@@ -4,15 +4,9 @@
 // itself fast; the modeled-GPU numbers come from the fig_*/table_* benches.
 #include <benchmark/benchmark.h>
 
-#include <memory>
-
 #include "baseline/mc_skiplist.h"
-#include "core/gfsl.h"
-#include "device/device_memory.h"
-#include "obs/metrics.h"
-#include "sched/lease.h"
+#include "harness/stack.h"
 #include "simt/team.h"
-#include "simt/trace.h"
 
 namespace {
 
@@ -39,133 +33,48 @@ void BM_Shfl(benchmark::State& state) {
 BENCHMARK(BM_Shfl);
 
 struct GfslBench {
-  GfslBench(int team_size, Key prefill, bool with_leases = false,
-            bool with_epochs = false)
-      : team(team_size, 0, 1) {
-    core::GfslConfig cfg;
-    cfg.team_size = team_size;
-    cfg.pool_chunks = 1u << 16;
-    if (with_leases) leases = std::make_unique<sched::LeaseTable>();
-    if (with_epochs) epochs = std::make_unique<device::EpochManager>();
-    sl = std::make_unique<core::Gfsl>(cfg, &mem, nullptr, leases.get(),
-                                      epochs.get());
+  explicit GfslBench(Key prefill, harness::StackOptions opts = {})
+      : stack(config(), opts), team(32, 0, 1) {
     std::vector<std::pair<Key, Value>> pairs;
     for (Key k = 1; k <= prefill; ++k) pairs.emplace_back(k * 2, k);
-    sl->bulk_load(pairs);
+    stack.gfsl().bulk_load(pairs);
   }
-  device::DeviceMemory mem;
-  std::unique_ptr<sched::LeaseTable> leases;
-  std::unique_ptr<device::EpochManager> epochs;
+  static core::GfslConfig config() {
+    core::GfslConfig cfg;
+    cfg.team_size = 32;
+    cfg.pool_chunks = 1u << 16;
+    return cfg;
+  }
+  core::Gfsl& sl() { return stack.gfsl(); }
+  harness::GfslStack stack;
   simt::Team team;
-  std::unique_ptr<core::Gfsl> sl;
 };
 
+// The detached loops.  Their A/B partners with metrics, the flight recorder,
+// leases, a durable region or integrity seals attached are the arms of the
+// micro_ops, persist_overhead and integrity_overhead campaigns
+// (harness/campaign.cpp), which interleave the arms per rep and report
+// per-rep ratios against these loops.
 void BM_GfslContains(benchmark::State& state) {
-  GfslBench b(static_cast<int>(state.range(0)), 10'000);
+  GfslBench b(10'000);
   Key k = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(b.sl->contains(b.team, k));
+    benchmark::DoNotOptimize(b.sl().contains(b.team, k));
     k = (k % 20'000) + 1;
   }
 }
-BENCHMARK(BM_GfslContains)->Arg(16)->Arg(32);
+BENCHMARK(BM_GfslContains);
 
 void BM_GfslInsertErase(benchmark::State& state) {
-  GfslBench b(32, 10'000);
+  GfslBench b(10'000);
   Key k = 50'001;
   for (auto _ : state) {
-    b.sl->insert(b.team, k, 0);
-    b.sl->erase(b.team, k);
+    b.sl().insert(b.team, k, 0);
+    b.sl().erase(b.team, k);
     ++k;
   }
 }
 BENCHMARK(BM_GfslInsertErase);
-
-// A/B partners for the two benchmarks above: identical loops with a metrics
-// shard attached.  The deltas bound the telemetry hot-path cost; the
-// unattached versions double as the disabled-path (null-pointer test only)
-// regression check.
-void BM_GfslContainsWithMetrics(benchmark::State& state) {
-  GfslBench b(static_cast<int>(state.range(0)), 10'000);
-  obs::MetricsRegistry reg(1);
-  b.team.set_metrics(&reg.shard(0));
-  Key k = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(b.sl->contains(b.team, k));
-    k = (k % 20'000) + 1;
-  }
-}
-BENCHMARK(BM_GfslContainsWithMetrics)->Arg(16)->Arg(32);
-
-void BM_GfslInsertEraseWithMetrics(benchmark::State& state) {
-  GfslBench b(32, 10'000);
-  obs::MetricsRegistry reg(1);
-  b.team.set_metrics(&reg.shard(0));
-  Key k = 50'001;
-  for (auto _ : state) {
-    b.sl->insert(b.team, k, 0);
-    b.sl->erase(b.team, k);
-    ++k;
-  }
-}
-BENCHMARK(BM_GfslInsertEraseWithMetrics);
-
-// A/B partners with the flight recorder armed: a clockless TeamTrace ring
-// (timestamps disabled — no steady_clock read per record) attached to the
-// team, as the postmortem dump-on-anomaly path keeps it on every run.  The
-// delta against the detached loops is the always-armed recorder cost, which
-// must stay within noise (a ring store is a few arithmetic ops + one array
-// write; the seq counter replaces the clock).
-void BM_GfslContainsWithFlightRecorder(benchmark::State& state) {
-  GfslBench b(static_cast<int>(state.range(0)), 10'000);
-  simt::TeamTrace ring(256, /*timestamps=*/false);
-  b.team.set_trace(&ring);
-  Key k = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(b.sl->contains(b.team, k));
-    k = (k % 20'000) + 1;
-  }
-}
-BENCHMARK(BM_GfslContainsWithFlightRecorder)->Arg(16)->Arg(32);
-
-void BM_GfslInsertEraseWithFlightRecorder(benchmark::State& state) {
-  GfslBench b(32, 10'000);
-  simt::TeamTrace ring(256, /*timestamps=*/false);
-  b.team.set_trace(&ring);
-  Key k = 50'001;
-  for (auto _ : state) {
-    b.sl->insert(b.team, k, 0);
-    b.sl->erase(b.team, k);
-    ++k;
-  }
-}
-BENCHMARK(BM_GfslInsertEraseWithFlightRecorder);
-
-// A/B partner for BM_GfslInsertErase with crash tolerance armed: every lock
-// acquisition stamps a lease word and every mutation span publishes an
-// intent descriptor.  The delta against the lease-less loop above is the
-// fault-free overhead of the whole recovery layer (uncontended, the lease
-// adds one relaxed load to try_lock plus the intent's handful of stores).
-void BM_GfslInsertEraseWithLeases(benchmark::State& state) {
-  GfslBench b(32, 10'000, /*with_leases=*/true);
-  Key k = 50'001;
-  for (auto _ : state) {
-    b.sl->insert(b.team, k, 0);
-    b.sl->erase(b.team, k);
-    ++k;
-  }
-}
-BENCHMARK(BM_GfslInsertEraseWithLeases);
-
-void BM_GfslContainsWithLeases(benchmark::State& state) {
-  GfslBench b(static_cast<int>(state.range(0)), 10'000, /*with_leases=*/true);
-  Key k = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(b.sl->contains(b.team, k));
-    k = (k % 20'000) + 1;
-  }
-}
-BENCHMARK(BM_GfslContainsWithLeases)->Arg(16)->Arg(32);
 
 // A/B partners with epoch reclamation attached: every op pins/unpins an
 // epoch slot, traversal reads verify generation stamps, and erase-side
@@ -173,33 +82,32 @@ BENCHMARK(BM_GfslContainsWithLeases)->Arg(16)->Arg(32);
 // the fault-free EBR overhead (DESIGN.md §9 budgets it within noise for
 // reads and a few percent for updates).
 void BM_GfslInsertEraseWithEpochs(benchmark::State& state) {
-  GfslBench b(32, 10'000, /*with_leases=*/false, /*with_epochs=*/true);
+  GfslBench b(10'000, {.epochs = true});
   Key k = 50'001;
   for (auto _ : state) {
-    b.sl->insert(b.team, k, 0);
-    b.sl->erase(b.team, k);
+    b.sl().insert(b.team, k, 0);
+    b.sl().erase(b.team, k);
     ++k;
   }
 }
 BENCHMARK(BM_GfslInsertEraseWithEpochs);
 
 void BM_GfslContainsWithEpochs(benchmark::State& state) {
-  GfslBench b(static_cast<int>(state.range(0)), 10'000,
-              /*with_leases=*/false, /*with_epochs=*/true);
+  GfslBench b(10'000, {.epochs = true});
   Key k = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(b.sl->contains(b.team, k));
+    benchmark::DoNotOptimize(b.sl().contains(b.team, k));
     k = (k % 20'000) + 1;
   }
 }
-BENCHMARK(BM_GfslContainsWithEpochs)->Arg(16)->Arg(32);
+BENCHMARK(BM_GfslContainsWithEpochs);
 
 void BM_GfslContainsNoAccounting(benchmark::State& state) {
-  GfslBench b(32, 10'000);
-  b.mem.set_accounting(false);
+  GfslBench b(10'000);
+  b.stack.mem().set_accounting(false);
   Key k = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(b.sl->contains(b.team, k));
+    benchmark::DoNotOptimize(b.sl().contains(b.team, k));
     k = (k % 20'000) + 1;
   }
 }
@@ -223,13 +131,13 @@ void BM_McContains(benchmark::State& state) {
 BENCHMARK(BM_McContains);
 
 void BM_GfslScan(benchmark::State& state) {
-  GfslBench b(32, 20'000);
+  GfslBench b(20'000);
   const auto width = static_cast<Key>(state.range(0));
   Key lo = 2;
   std::vector<std::pair<Key, Value>> out;
   for (auto _ : state) {
     out.clear();
-    benchmark::DoNotOptimize(b.sl->scan(b.team, lo, lo + width, out));
+    benchmark::DoNotOptimize(b.sl().scan(b.team, lo, lo + width, out));
     lo = (lo % 30'000) + 2;
   }
   state.SetItemsProcessed(state.iterations() * (width / 2));
@@ -237,9 +145,9 @@ void BM_GfslScan(benchmark::State& state) {
 BENCHMARK(BM_GfslScan)->Arg(64)->Arg(1024);
 
 void BM_GfslValidate(benchmark::State& state) {
-  GfslBench b(32, static_cast<Key>(state.range(0)));
+  GfslBench b(static_cast<Key>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(b.sl->validate().ok);
+    benchmark::DoNotOptimize(b.sl().validate().ok);
   }
 }
 BENCHMARK(BM_GfslValidate)->Arg(1'000)->Arg(10'000);
@@ -257,8 +165,8 @@ BENCHMARK(BM_CacheSimAccess);
 void BM_BulkLoad(benchmark::State& state) {
   const auto n = static_cast<Key>(state.range(0));
   for (auto _ : state) {
-    GfslBench b(32, n);
-    benchmark::DoNotOptimize(b.sl->size());
+    GfslBench b(n);
+    benchmark::DoNotOptimize(b.sl().size());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

@@ -35,8 +35,9 @@ std::uint32_t crc32c(const std::uint64_t* words, std::size_t count) {
   return c ^ 0xffffffffu;
 }
 
+/// `s` in [0, 63]; the masked right shift keeps s == 0 defined.
 constexpr std::uint64_t rotl64(std::uint64_t v, int s) {
-  return (v << s) | (v >> (64 - s));
+  return (v << s) | (v >> ((64 - s) & 63));
 }
 
 /// Position-salted XOR fold: each word is rotated by its slot index before

@@ -54,8 +54,8 @@ int campaign_main(const std::string& name);
 /// `<out_dir>/BENCH_<name>.json`.  Returns the report.
 BenchReport run_campaign(const Campaign& c, const CampaignOptions& opts);
 
-// Shared bench plumbing (formerly private to bench/bench_common.h; the
-// campaign implementations and the standalone binaries use one copy).
+// Shared bench plumbing: the campaign implementations and the standalone
+// bench binaries use these directly.
 
 StructureSetup setup_from_scale(const Scale& sc, int team_size = 32);
 

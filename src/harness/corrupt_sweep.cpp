@@ -10,15 +10,9 @@
 
 #include "common/random.h"
 #include "common/types.h"
-#include "core/gfsl.h"
-#include "core/integrity.h"
-#include "core/snapshot.h"
-#include "device/device_memory.h"
-#include "device/epoch.h"
-#include "device/persist.h"
 #include "harness/postmortem.h"
+#include "harness/stack.h"
 #include "harness/workload.h"
-#include "sched/lease.h"
 #include "simt/team.h"
 
 namespace gfsl::harness {
@@ -30,6 +24,13 @@ using device::FaultKind;
 using device::FaultPlane;
 using device::FaultSection;
 using device::FaultSpec;
+
+GfslConfig gfsl_config(const CorruptSweepConfig& cfg) {
+  GfslConfig gc;
+  gc.team_size = cfg.team_size;
+  gc.pool_chunks = cfg.pool_chunks;
+  return gc;
+}
 
 std::string repro(FaultSection s, FaultKind k, std::uint64_t seed) {
   return std::string("--corrupt ") + device::fault_section_name(s) + ":" +
@@ -167,17 +168,15 @@ bool check_contents(Gfsl& sl, const Model& model,
 
 bool run_chunk_cell(CellCtx& c) {
   const CorruptSweepConfig& cfg = *c.cfg;
-  device::DeviceMemory mem;
-  device::EpochManager epochs;
-  core::SnapshotManager snaps(cfg.pool_chunks);
-  core::IntegritySidecar integrity;
-  GfslConfig gc;
-  gc.team_size = cfg.team_size;
-  gc.pool_chunks = cfg.pool_chunks;
   // Epochs + snapshots attached: bottom-chunk repair restores from the
   // version-record chains, so every key this workload wrote is recoverable.
-  Gfsl sl(gc, &mem, nullptr, nullptr, &epochs, nullptr, &snaps, nullptr,
-          &integrity);
+  StackOptions so;
+  so.epochs = true;
+  so.snapshots = true;
+  so.integrity = true;
+  GfslStack stack(gfsl_config(cfg), so);
+  Gfsl& sl = stack.gfsl();
+  const core::IntegritySidecar& integrity = *sl.integrity();
   simt::Team team(cfg.team_size, 0, 3);
   Model model;
   std::string err;
@@ -281,21 +280,12 @@ bool run_region_cell(CellCtx& c) {
       "_" + device::fault_kind_name(c.kind) + "_" + std::to_string(c.seed) +
       ".region";
   std::remove(path.c_str());
-  GfslConfig gc;
-  gc.team_size = cfg.team_size;
-  gc.pool_chunks = cfg.pool_chunks;
-  const device::PersistGeometry geom{
-      static_cast<std::uint32_t>(cfg.team_size), cfg.pool_chunks};
+  StackOptions so;
+  so.persist_path = path;
   Model model;
   {  // Phase 1: write a clean reference image.
-    device::DeviceMemory mem;
-    device::PersistRegion region(path, device::PersistRegion::Mode::kCreate,
-                                 geom);
-    sched::LeaseTable leases;
-    leases.attach(
-        static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-        /*adopt=*/false);
-    Gfsl sl(gc, &mem, nullptr, &leases, nullptr, &region);
+    GfslStack stack(gfsl_config(cfg), so);
+    Gfsl& sl = stack.gfsl();
     simt::Team team(cfg.team_size, 0, 3);
     std::string err;
     if (!drive(sl, team, model, cfg.ops, cfg.key_range,
@@ -303,7 +293,7 @@ bool run_region_cell(CellCtx& c) {
       std::remove(path.c_str());
       return fail_cell(c, err, &sl);
     }
-    region.mark_clean();
+    stack.region()->mark_clean();
   }
   const auto expected = model.collect();
 
@@ -311,19 +301,17 @@ bool run_region_cell(CellCtx& c) {
   std::string err;
   {  // Phase 2: damage the live window, then recover on the same mapping.
     FaultPlane plane;  // outlives every use; stuck addresses stay valid
-    device::DeviceMemory mem;
-    device::PersistRegion region(path, device::PersistRegion::Mode::kAttach);
-    region.attach_fault_plane(&plane);
-    region.arm_fault_sections(plane);
+    so.persist_mode = device::PersistRegion::Mode::kAttach;
+    GfslStack stack(gfsl_config(cfg), so);
+    Gfsl& sl = stack.gfsl();
+    // Attaching reads no durable word, so damage injected now is what
+    // recover() finds.
+    stack.region()->attach_fault_plane(&plane);
+    stack.region()->arm_fault_sections(plane);
     const auto frep = plane.inject({c.section, c.kind, c.seed + 1});
     ++c.res->runs;
     if (frep.injected && frep.before != frep.after) ++c.res->injected;
 
-    sched::LeaseTable leases;
-    leases.attach(
-        static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-        /*adopt=*/true);
-    Gfsl sl(gc, &mem, nullptr, &leases, nullptr, &region);
     // Accept either outcome of one recovery attempt: a typed refusal (only
     // the superblock section may refuse — every other section must always
     // converge) or a clean recovery whose contents match the closed image
@@ -372,9 +360,8 @@ bool run_dropped_barrier_cell(CellCtx& c) {
       cfg.work_dir + "/corrupt_" + device::fault_section_name(c.section) +
       "_dropbarrier_" + std::to_string(c.seed) + ".region";
   std::remove(path.c_str());
-  GfslConfig gc;
-  gc.team_size = cfg.team_size;
-  gc.pool_chunks = cfg.pool_chunks;
+  StackOptions so;
+  so.persist_path = path;
   Model model;
   bool cell_ok = true;
   std::string err;
@@ -382,17 +369,11 @@ bool run_dropped_barrier_cell(CellCtx& c) {
      // loses nothing without a machine crash, so the run must stay clean.
     FaultPlane plane;
     plane.arm_barrier_drops(1 + (c.seed % 8));
-    device::DeviceMemory mem;
-    device::PersistRegion region(
-        path, device::PersistRegion::Mode::kCreate,
-        device::PersistGeometry{static_cast<std::uint32_t>(cfg.team_size),
-                                cfg.pool_chunks});
-    region.attach_fault_plane(&plane);
-    sched::LeaseTable leases;
-    leases.attach(
-        static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-        /*adopt=*/false);
-    Gfsl sl(gc, &mem, nullptr, &leases, nullptr, &region);
+    GfslStack stack(gfsl_config(cfg), so);
+    Gfsl& sl = stack.gfsl();
+    // The constructor crosses no persist point: every armed drop lands in
+    // the workload.
+    stack.region()->attach_fault_plane(&plane);
     simt::Team team(cfg.team_size, 0, 3);
     ++c.res->runs;
     if (!drive(sl, team, model, cfg.ops, cfg.key_range,
@@ -410,18 +391,14 @@ bool run_dropped_barrier_cell(CellCtx& c) {
         cell_ok = false;
         fail_cell(c, "contents diverged under dropped barriers", &sl);
       } else {
-        region.mark_clean();
+        stack.region()->mark_clean();
       }
     }
   }
   if (cell_ok) {  // Belt and braces: the closed image must still recover.
-    device::DeviceMemory mem;
-    device::PersistRegion region(path, device::PersistRegion::Mode::kAttach);
-    sched::LeaseTable leases;
-    leases.attach(
-        static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-        /*adopt=*/true);
-    Gfsl sl(gc, &mem, nullptr, &leases, nullptr, &region);
+    so.persist_mode = device::PersistRegion::Mode::kAttach;
+    GfslStack stack(gfsl_config(cfg), so);
+    Gfsl& sl = stack.gfsl();
     const auto rec = sl.recover();
     if (!rec.ok) {
       cell_ok = false;

@@ -1,20 +1,15 @@
 #include "harness/crash_sweep.h"
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
-#include <memory>
-
-#include "core/gfsl.h"
-#include "core/snapshot.h"
-#include "device/device_memory.h"
 #include "harness/history.h"
 #include "harness/postmortem.h"
+#include "harness/stack.h"
 #include "harness/workload.h"
 #include "sched/batch_dispatch.h"
-#include "sched/lease.h"
-#include "sched/step_scheduler.h"
 #include "simt/trace.h"
 
 namespace gfsl::harness {
@@ -64,34 +59,28 @@ CrashRunResult run_crash_at(const CrashSweepConfig& cfg,
                             std::uint64_t watchdog_step,
                             obs::MetricsRegistry* reg) {
   CrashRunResult res;
-  device::DeviceMemory mem;
-  sched::LeaseTable leases;
   sched::StepScheduler sched(sched::StepScheduler::Mode::Deterministic,
                              cfg.sched_seed, cfg.workers);
-  sched.attach_leases(&leases);
   if (kill_step != UINT64_MAX) sched.kill_at(cfg.victim, kill_step);
   if (watchdog_step != UINT64_MAX) sched.kill_all_at(watchdog_step);
 
   core::GfslConfig gcfg;
   gcfg.team_size = cfg.team_size;
   gcfg.pool_chunks = cfg.pool_chunks;
-  device::EpochManager epochs;
-  std::unique_ptr<core::SnapshotManager> snaps;
-  if (cfg.with_snapshots) {
-    snaps = std::make_unique<core::SnapshotManager>(gcfg.pool_chunks);
-  }
-  std::unique_ptr<core::ForesightIndex> foresight;
-  if (cfg.with_foresight) {
-    // Tiny rebuild threshold: at sweep scale (dozens of ops) a realistic
-    // threshold would never republish, so hints would never be consulted.
-    // Forcing frequent rebuilds puts kill steps inside the walk/publish
-    // window and makes hint consultation the common path.
-    foresight = std::make_unique<core::ForesightIndex>(
-        gcfg.pool_chunks, /*stride=*/1, /*rebuild_threshold=*/1);
-  }
-  core::Gfsl sl(gcfg, &mem, &sched, &leases,
-                cfg.with_epochs ? &epochs : nullptr, /*region=*/nullptr,
-                snaps.get(), foresight.get());
+  StackOptions so;
+  so.scheduler = &sched;
+  so.leases = true;
+  so.epochs = cfg.with_epochs;
+  so.snapshots = cfg.with_snapshots;
+  // Tiny rebuild threshold: at sweep scale (dozens of ops) a realistic
+  // threshold would never republish, so hints would never be consulted.
+  // Forcing frequent rebuilds puts kill steps inside the walk/publish window
+  // and makes hint consultation the common path.
+  so.foresight = cfg.with_foresight;
+  so.foresight_stride = 1;
+  so.foresight_rebuild_threshold = 1;
+  GfslStack stack(gcfg, so);
+  core::Gfsl& sl = stack.gfsl();
 
   // Snapshot-held-across-kill: freeze a bulk-loaded prefill under a snapshot
   // before any scheduled team runs.  Every op of the workload — including

@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <fstream>
-#include <memory>
 #include <thread>
 
 #include "common/random.h"
-#include "core/snapshot.h"
-#include "device/epoch.h"
-#include "device/persist.h"
 #include "harness/postmortem.h"
-#include "sched/lease.h"
+#include "harness/stack.h"
 
 namespace gfsl::harness {
 
@@ -198,41 +194,21 @@ void apply_mc_contention(model::KernelRun& k,
 Measurement measure_gfsl(const WorkloadConfig& wl,
                          const StructureSetup& setup) {
   Measurement m;
-  device::DeviceMemory mem;
   core::GfslConfig cfg;
   cfg.team_size = setup.team_size;
   cfg.p_chunk = setup.p_chunk;
   cfg.pool_chunks = gfsl_pool_chunks(wl, setup.team_size);
-  std::unique_ptr<device::PersistRegion> region;
-  std::unique_ptr<sched::LeaseTable> leases;
-  if (!setup.persist_path.empty()) {
-    region = std::make_unique<device::PersistRegion>(
-        setup.persist_path, device::PersistRegion::Mode::kCreate,
-        device::PersistGeometry{static_cast<std::uint32_t>(setup.team_size),
-                                cfg.pool_chunks});
-    leases = std::make_unique<sched::LeaseTable>();
-    leases->attach(
-        static_cast<std::atomic<std::uint32_t>*>(region->lease_slots()),
-        /*adopt=*/false);
-  }
-  std::unique_ptr<device::EpochManager> epochs;
-  std::unique_ptr<core::SnapshotManager> snaps;
-  if (setup.snapshot_scan) {
-    // The scanner needs versioned mutations; the EpochManager rides along so
-    // pruned version records get their grace period instead of leaking.
-    epochs = std::make_unique<device::EpochManager>();
-    snaps = std::make_unique<core::SnapshotManager>(cfg.pool_chunks);
-  }
-  std::unique_ptr<core::ForesightIndex> foresight;
-  if (setup.foresight) {
-    foresight = std::make_unique<core::ForesightIndex>(cfg.pool_chunks);
-  }
-  std::unique_ptr<core::IntegritySidecar> integrity;
-  if (setup.integrity || setup.scrub_passes > 0) {
-    integrity = std::make_unique<core::IntegritySidecar>();
-  }
-  core::Gfsl sl(cfg, &mem, nullptr, leases.get(), epochs.get(), region.get(),
-                snaps.get(), foresight.get(), integrity.get());
+  StackOptions so;
+  so.persist_path = setup.persist_path;
+  // The scanner needs versioned mutations; the EpochManager rides along so
+  // pruned version records get their grace period instead of leaking.
+  so.epochs = setup.snapshot_scan;
+  so.snapshots = setup.snapshot_scan;
+  so.foresight = setup.foresight;
+  so.integrity = setup.integrity || setup.scrub_passes > 0;
+  GfslStack stack(cfg, so);
+  core::Gfsl& sl = stack.gfsl();
+  device::DeviceMemory& mem = stack.mem();
 
   sl.bulk_load(generate_prefill(wl));
   if (setup.foresight) {
@@ -329,7 +305,7 @@ Measurement measure_gfsl(const WorkloadConfig& wl,
     scan_stop.store(true, std::memory_order_release);
     scanner.join();
   }
-  if (integrity) {
+  if (const core::IntegritySidecar* integrity = sl.integrity()) {
     // Post-run online scrub: a medic team walks every sealed chunk.  On an
     // undamaged run every pass is a full-verify no-op — the per-pass cost,
     // not the findings, is the datum.  The medic's team id sits past the
@@ -374,7 +350,7 @@ Measurement measure_gfsl(const WorkloadConfig& wl,
     if (out) write_postmortem(out, ctx);
   }
 
-  if (region) region->mark_clean();
+  if (stack.region() != nullptr) stack.region()->mark_clean();
   const model::Occupancy occ_calc;
   const auto occ = occ_calc.compute(model::kGfslKernel, setup.warps_per_block);
   apply_gfsl_contention(rr.kernel, occ, contention_inputs(wl),
@@ -483,48 +459,39 @@ Measurement measure_gfsl_dual(const WorkloadConfig& wl,
   return m;
 }
 
-Repeated repeat_gfsl_dual(WorkloadConfig wl, const StructureSetup& setup,
-                          int reps) {
+namespace {
+
+/// Per-repetition seeds chain from the previous repetition's seed.
+Repeated repeat(WorkloadConfig wl, const StructureSetup& setup, int reps,
+                Measurement (*measure)(const WorkloadConfig&,
+                                       const StructureSetup&)) {
   Repeated out;
   RunStats stats;
   for (int r = 0; r < reps; ++r) {
     wl.seed = derive_seed(wl.seed, static_cast<std::uint64_t>(r) + 1);
-    const auto m = measure_gfsl_dual(wl, setup);
+    const auto m = measure(wl, setup);
     out.oom = out.oom || m.oom;
     stats.add(m.model_mops);
     out.samples.push_back(m.model_mops);
   }
   out.mops = stats.summarize();
   return out;
+}
+
+}  // namespace
+
+Repeated repeat_gfsl_dual(WorkloadConfig wl, const StructureSetup& setup,
+                          int reps) {
+  return repeat(wl, setup, reps, measure_gfsl_dual);
 }
 
 Repeated repeat_gfsl(WorkloadConfig wl, const StructureSetup& setup,
                      int reps) {
-  Repeated out;
-  RunStats stats;
-  for (int r = 0; r < reps; ++r) {
-    wl.seed = derive_seed(wl.seed, static_cast<std::uint64_t>(r) + 1);
-    const auto m = measure_gfsl(wl, setup);
-    out.oom = out.oom || m.oom;
-    stats.add(m.model_mops);
-    out.samples.push_back(m.model_mops);
-  }
-  out.mops = stats.summarize();
-  return out;
+  return repeat(wl, setup, reps, measure_gfsl);
 }
 
 Repeated repeat_mc(WorkloadConfig wl, const StructureSetup& setup, int reps) {
-  Repeated out;
-  RunStats stats;
-  for (int r = 0; r < reps; ++r) {
-    wl.seed = derive_seed(wl.seed, static_cast<std::uint64_t>(r) + 1);
-    const auto m = measure_mc(wl, setup);
-    out.oom = out.oom || m.oom;
-    stats.add(m.model_mops);
-    out.samples.push_back(m.model_mops);
-  }
-  out.mops = stats.summarize();
-  return out;
+  return repeat(wl, setup, reps, measure_mc);
 }
 
 }  // namespace gfsl::harness

@@ -13,16 +13,10 @@
 #include <thread>
 #include <vector>
 
-#include "core/gfsl.h"
-#include "core/snapshot.h"
-#include "device/device_memory.h"
-#include "device/epoch.h"
-#include "device/persist.h"
 #include "harness/history.h"
 #include "harness/postmortem.h"
+#include "harness/stack.h"
 #include "harness/workload.h"
-#include "sched/lease.h"
-#include "sched/step_scheduler.h"
 
 namespace gfsl::harness {
 
@@ -62,6 +56,15 @@ core::GfslConfig gfsl_config(const ProcCrashSweepConfig& cfg) {
   return gcfg;
 }
 
+/// Child and parent build the same sidecars over the same region file.
+StackOptions stack_options(const ProcCrashSweepConfig& cfg) {
+  StackOptions so;
+  so.persist_path = region_path(cfg);
+  so.epochs = cfg.with_epochs;
+  so.snapshots = cfg.with_snapshots;
+  return so;
+}
+
 std::vector<Op> sweep_ops(const ProcCrashSweepConfig& cfg) {
   WorkloadConfig wl;
   wl.mix = kMix_20_20_60;  // update-heavy: splits, merges, reclaim traffic
@@ -78,26 +81,15 @@ std::vector<Op> sweep_ops(const ProcCrashSweepConfig& cfg) {
                             std::uint64_t kill_at) {
   ::alarm(cfg.alarm_seconds);  // livelock guard: SIGALRM terminates us
   try {
-    device::PersistRegion region(
-        region_path(cfg), device::PersistRegion::Mode::kCreate,
-        {static_cast<std::uint32_t>(cfg.team_size), cfg.pool_chunks});
-    if (kill_at != 0) region.arm_kill_at(kill_at);
-
-    sched::LeaseTable leases;
-    leases.attach(
-        static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-        /*adopt=*/false);
     sched::StepScheduler sched(sched::StepScheduler::Mode::Deterministic,
                                cfg.sched_seed, cfg.workers);
-    sched.attach_leases(&leases);
-    device::DeviceMemory mem;
-    device::EpochManager epochs;
-    std::unique_ptr<core::SnapshotManager> snaps;
-    if (cfg.with_snapshots) {
-      snaps = std::make_unique<core::SnapshotManager>(cfg.pool_chunks);
-    }
-    core::Gfsl sl(gfsl_config(cfg), &mem, &sched, &leases,
-                  cfg.with_epochs ? &epochs : nullptr, &region, snaps.get());
+    StackOptions so = stack_options(cfg);
+    so.scheduler = &sched;
+    GfslStack stack(gfsl_config(cfg), so);
+    // The constructor crosses no persist point, so barrier n is still the
+    // n-th one the workload crosses.
+    if (kill_at != 0) stack.region()->arm_kill_at(kill_at);
+    core::Gfsl& sl = stack.gfsl();
 
     const auto ops = sweep_ops(cfg);
     const int jfd = ::open(journal_path(cfg).c_str(),
@@ -131,7 +123,7 @@ std::vector<Op> sweep_ops(const ProcCrashSweepConfig& cfg) {
     }
     for (auto& t : threads) t.join();
     ::close(jfd);
-    region.mark_clean();
+    stack.region()->mark_clean();
     ::_exit(0);
   } catch (...) {
     ::_exit(3);
@@ -162,21 +154,12 @@ struct VerifyOutcome {
 VerifyOutcome verify_image(const ProcCrashSweepConfig& cfg,
                            std::uint64_t kill_at) {
   VerifyOutcome out;
-  device::PersistRegion region(region_path(cfg),
-                               device::PersistRegion::Mode::kAttach);
-  out.recorded_points = region.recorded_persist_points();
-  sched::LeaseTable leases;
-  leases.attach(
-      static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-      /*adopt=*/true);
-  device::DeviceMemory mem;
-  device::EpochManager epochs;  // fresh: limbo is rebuilt by classification
-  std::unique_ptr<core::SnapshotManager> snaps;
-  if (cfg.with_snapshots) {
-    snaps = std::make_unique<core::SnapshotManager>(cfg.pool_chunks);
-  }
-  core::Gfsl sl(gfsl_config(cfg), &mem, /*scheduler=*/nullptr, &leases,
-                cfg.with_epochs ? &epochs : nullptr, &region, snaps.get());
+  StackOptions so = stack_options(cfg);
+  so.persist_mode = device::PersistRegion::Mode::kAttach;
+  // Fresh epochs: limbo is rebuilt by classification.
+  GfslStack stack(gfsl_config(cfg), so);
+  out.recorded_points = stack.region()->recorded_persist_points();
+  core::Gfsl& sl = stack.gfsl();
   out.recovery = sl.recover();
 
   auto fail = [&](const std::string& msg,
@@ -314,7 +297,7 @@ VerifyOutcome verify_image(const ProcCrashSweepConfig& cfg,
   // clock would let post-restart commits reuse pre-crash revisions.
   if (cfg.with_snapshots) {
     const std::uint64_t durable =
-        static_cast<std::atomic<std::uint64_t>*>(region.durable_rev())
+        static_cast<std::atomic<std::uint64_t>*>(stack.region()->durable_rev())
             ->load(std::memory_order_acquire);
     core::Snapshot fresh = sl.snapshot();
     if (!fresh.open()) {

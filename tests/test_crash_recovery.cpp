@@ -17,6 +17,7 @@
 #include "device/device_memory.h"
 #include "harness/crash_sweep.h"
 #include "harness/history.h"
+#include "harness/stack.h"
 #include "obs/metrics.h"
 #include "sched/lease.h"
 #include "sched/step_scheduler.h"
@@ -127,16 +128,14 @@ struct ScriptOutcome {
 ScriptOutcome run_script(int team_size, const std::vector<Op>& ops,
                          std::uint64_t kill_step) {
   ScriptOutcome out;
-  device::DeviceMemory mem;
-  sched::LeaseTable leases;
   sched::StepScheduler sched(sched::StepScheduler::Mode::Deterministic, 42, 1);
-  sched.attach_leases(&leases);
   if (kill_step != UINT64_MAX) sched.kill_at(0, kill_step);
 
   core::GfslConfig cfg;
   cfg.team_size = team_size;
   cfg.pool_chunks = 1u << 12;
-  core::Gfsl sl(cfg, &mem, &sched, &leases);
+  harness::GfslStack stack(cfg, {.leases = true, .scheduler = &sched});
+  core::Gfsl& sl = stack.gfsl();
 
   HistoryLog log(ops.size() + 1, 1);
   simt::TeamTrace trace(1u << 14);

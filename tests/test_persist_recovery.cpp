@@ -34,7 +34,7 @@
 #include "device/device_memory.h"
 #include "device/fault_plane.h"
 #include "device/persist.h"
-#include "sched/lease.h"
+#include "harness/stack.h"
 #include "sched/step_scheduler.h"
 #include "simt/team.h"
 
@@ -53,6 +53,11 @@ GfslConfig small_cfg(int team_size = 8, std::uint32_t pool = 1u << 12) {
   cfg.team_size = team_size;
   cfg.pool_chunks = pool;
   return cfg;
+}
+
+/// Stack options that map the region image at `path` for recovery.
+harness::StackOptions attach(const std::string& path) {
+  return {.persist_path = path, .persist_mode = PersistRegion::Mode::kAttach};
 }
 
 std::vector<unsigned char> snapshot(const PersistRegion& r) {
@@ -79,18 +84,11 @@ std::set<Key> small_workload_expected() {
 [[noreturn]] void child_workload(const std::string& path,
                                  std::uint64_t kill_at) {
   try {
-    PersistRegion region(path, PersistRegion::Mode::kCreate,
-                         PersistGeometry{8, 1u << 12});
-    if (kill_at != 0) region.arm_kill_at(kill_at);
-    sched::LeaseTable leases;
-    leases.attach(
-        static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-        /*adopt=*/false);
-    device::DeviceMemory mem;
-    Gfsl sl(small_cfg(), &mem, nullptr, &leases, nullptr, &region);
+    harness::GfslStack stack(small_cfg(), {.persist_path = path});
+    if (kill_at != 0) stack.region()->arm_kill_at(kill_at);
     simt::Team team(8, 0, 3);
-    run_small_workload(sl, team);
-    region.mark_clean();
+    run_small_workload(stack.gfsl(), team);
+    stack.region()->mark_clean();
     ::_exit(0);
   } catch (...) {
     ::_exit(3);
@@ -103,18 +101,9 @@ std::set<Key> small_workload_expected() {
 [[noreturn]] void child_recover(const std::string& path,
                                 std::uint64_t kill_at) {
   try {
-    PersistRegion region(path, PersistRegion::Mode::kAttach);
-    region.arm_kill_at(kill_at);
-    sched::LeaseTable leases;
-    leases.attach(
-        static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-        /*adopt=*/true);
-    device::DeviceMemory mem;
-    GfslConfig cfg;
-    cfg.team_size = static_cast<int>(region.geometry().entries_per_chunk);
-    cfg.pool_chunks = region.geometry().capacity;
-    Gfsl sl(cfg, &mem, nullptr, &leases, nullptr, &region);
-    (void)sl.recover();
+    harness::GfslStack stack(GfslConfig{}, attach(path));
+    stack.region()->arm_kill_at(kill_at);
+    (void)stack.gfsl().recover();
     ::_exit(0);  // recovery crossed fewer than kill_at barriers
   } catch (...) {
     ::_exit(3);
@@ -138,21 +127,13 @@ ChildFate run_forked(ChildFn&& fn) {
 RecoveryReport recover_file(const std::string& path,
                             std::vector<unsigned char>* bytes_after = nullptr,
                             std::set<Key>* keys = nullptr) {
-  PersistRegion region(path, PersistRegion::Mode::kAttach);
-  sched::LeaseTable leases;
-  leases.attach(
-      static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-      /*adopt=*/true);
-  device::DeviceMemory mem;
-  GfslConfig cfg;
-  cfg.team_size = static_cast<int>(region.geometry().entries_per_chunk);
-  cfg.pool_chunks = region.geometry().capacity;
-  Gfsl sl(cfg, &mem, nullptr, &leases, nullptr, &region);
+  harness::GfslStack stack(GfslConfig{}, attach(path));
+  Gfsl& sl = stack.gfsl();
   const RecoveryReport rep = sl.recover();
   if (keys != nullptr) {
     for (const auto& [k, v] : sl.collect()) keys->insert(k);
   }
-  if (bytes_after != nullptr) *bytes_after = snapshot(region);
+  if (bytes_after != nullptr) *bytes_after = snapshot(*stack.region());
   return rep;
 }
 
@@ -235,18 +216,11 @@ TEST(PersistGfsl, RegionRequiresLeaseTable) {
 TEST(PersistGfsl, CleanShutdownReattachServesSameContents) {
   const auto path = tmp_region("clean_roundtrip");
   {
-    PersistRegion region(path, PersistRegion::Mode::kCreate,
-                         PersistGeometry{8, 1u << 12});
-    sched::LeaseTable leases;
-    leases.attach(
-        static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-        /*adopt=*/false);
-    device::DeviceMemory mem;
-    Gfsl sl(small_cfg(), &mem, nullptr, &leases, nullptr, &region);
+    harness::GfslStack stack(small_cfg(), {.persist_path = path});
     simt::Team team(8, 0, 3);
-    run_small_workload(sl, team);
-    EXPECT_GT(region.persist_points(), 0u);
-    region.mark_clean();
+    run_small_workload(stack.gfsl(), team);
+    EXPECT_GT(stack.region()->persist_points(), 0u);
+    stack.region()->mark_clean();
   }
   std::set<Key> keys;
   const auto rep = recover_file(path, nullptr, &keys);
@@ -364,23 +338,13 @@ TornOutcome run_torn_script(int team_size, const std::vector<Op>& ops,
                             std::uint64_t kill_step, const std::string& path) {
   TornOutcome out;
   {
-    device::DeviceMemory mem;
-    PersistRegion region(path, PersistRegion::Mode::kCreate,
-                         PersistGeometry{static_cast<std::uint32_t>(team_size),
-                                         1u << 12});
-    sched::LeaseTable leases;
-    leases.attach(
-        static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-        /*adopt=*/false);
     sched::StepScheduler sched(sched::StepScheduler::Mode::Deterministic, 42,
                                1);
-    sched.attach_leases(&leases);
     if (kill_step != UINT64_MAX) sched.kill_at(0, kill_step);
 
-    GfslConfig cfg;
-    cfg.team_size = team_size;
-    cfg.pool_chunks = 1u << 12;
-    Gfsl sl(cfg, &mem, &sched, &leases, nullptr, &region);
+    harness::GfslStack stack(small_cfg(team_size),
+                             {.persist_path = path, .scheduler = &sched});
+    Gfsl& sl = stack.gfsl();
 
     std::thread t([&] {
       simt::Team team(team_size, 0, 3);
@@ -493,16 +457,10 @@ TEST(PersistTorn, SplitPublishRollsForwardOrBack) {
 
 /// Writes the reference workload into a fresh region and closes it clean.
 std::set<Key> make_clean_image(const std::string& path) {
-  PersistRegion region(path, PersistRegion::Mode::kCreate,
-                       PersistGeometry{8, 1u << 12});
-  sched::LeaseTable leases;
-  leases.attach(static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-                /*adopt=*/false);
-  device::DeviceMemory mem;
-  Gfsl sl(small_cfg(), &mem, nullptr, &leases, nullptr, &region);
+  harness::GfslStack stack(small_cfg(), {.persist_path = path});
   simt::Team team(8, 0, 3);
-  run_small_workload(sl, team);
-  region.mark_clean();
+  run_small_workload(stack.gfsl(), team);
+  stack.region()->mark_clean();
   return small_workload_expected();
 }
 
@@ -516,18 +474,14 @@ TEST(PersistCorrupt, FlippedSuperblockIsTypedRejection) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const auto expected = make_clean_image(path);
     device::FaultPlane plane;
-    device::DeviceMemory mem;
-    PersistRegion region(path, PersistRegion::Mode::kAttach);
+    harness::GfslStack stack(GfslConfig{}, attach(path));
+    Gfsl& sl = stack.gfsl();
+    PersistRegion& region = *stack.region();
     region.attach_fault_plane(&plane);
     region.arm_fault_sections(plane);
     const auto frep = plane.inject(
         {device::FaultSection::kSuperblock, device::FaultKind::kBitFlip, seed});
     ASSERT_TRUE(frep.injected);
-    sched::LeaseTable leases;
-    leases.attach(
-        static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-        /*adopt=*/true);
-    Gfsl sl(small_cfg(), &mem, nullptr, &leases, nullptr, &region);
     const auto rep = sl.recover();
     if (!rep.ok) {
       saw_rejection = true;
@@ -554,17 +508,13 @@ TEST(PersistCorrupt, TornTrailingIntentRollsBackAndConverges) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const auto expected = make_clean_image(path);
     device::FaultPlane plane;
-    device::DeviceMemory mem;
-    PersistRegion region(path, PersistRegion::Mode::kAttach);
+    harness::GfslStack stack(GfslConfig{}, attach(path));
+    Gfsl& sl = stack.gfsl();
+    PersistRegion& region = *stack.region();
     region.attach_fault_plane(&plane);
     region.arm_fault_sections(plane);
     (void)plane.inject({device::FaultSection::kIntents,
                         device::FaultKind::kTornEntry, seed});
-    sched::LeaseTable leases;
-    leases.attach(
-        static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-        /*adopt=*/true);
-    Gfsl sl(small_cfg(), &mem, nullptr, &leases, nullptr, &region);
     const auto rep = sl.recover();
     ASSERT_TRUE(rep.ok) << "seed " << seed << ": " << rep.error;
     std::set<Key> keys;
@@ -588,16 +538,12 @@ TEST(PersistCorrupt, GenerationWordCorruptionRecoversIdempotently) {
                                        device::FaultKind::kTornEntry}) {
     const auto expected = make_clean_image(path);
     device::FaultPlane plane;
-    device::DeviceMemory mem;
-    PersistRegion region(path, PersistRegion::Mode::kAttach);
+    harness::GfslStack stack(GfslConfig{}, attach(path));
+    Gfsl& sl = stack.gfsl();
+    PersistRegion& region = *stack.region();
     region.attach_fault_plane(&plane);
     region.arm_fault_sections(plane);
     (void)plane.inject({device::FaultSection::kGenerations, kind, 7});
-    sched::LeaseTable leases;
-    leases.attach(
-        static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-        /*adopt=*/true);
-    Gfsl sl(small_cfg(), &mem, nullptr, &leases, nullptr, &region);
     const auto rep = sl.recover();
     ASSERT_TRUE(rep.ok) << device::fault_kind_name(kind) << ": " << rep.error;
     std::set<Key> keys;

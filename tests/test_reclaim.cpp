@@ -16,7 +16,7 @@
 #include "device/persist.h"
 #include "harness/crash_sweep.h"
 #include "harness/runner.h"
-#include "sched/lease.h"
+#include "harness/stack.h"
 #include "sched/step_scheduler.h"
 #include "simt/team.h"
 
@@ -384,23 +384,15 @@ TEST(ReclaimPersist, TornOddGenChunkClassifiedFreeNeverLive) {
   // such chunk as free — odd is never reachable — and must never serve it
   // as live data.  Simulate the torn state by wiping the persisted free-list
   // control words (head + count) out from under a churned image.
-  using device::PersistGeometry;
   using device::PersistRegion;
   const std::string path = testing::TempDir() + "gfsl_reclaim_torn.region";
   std::set<Key> expected;
+  GfslConfig cfg;
+  cfg.team_size = 8;
+  cfg.pool_chunks = 4096;
   {
-    PersistRegion region(path, PersistRegion::Mode::kCreate,
-                         PersistGeometry{8, 4096});
-    sched::LeaseTable leases;
-    leases.attach(
-        static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-        /*adopt=*/false);
-    device::DeviceMemory mem;
-    EpochManager ep;
-    GfslConfig cfg;
-    cfg.team_size = 8;
-    cfg.pool_chunks = 4096;
-    Gfsl sl(cfg, &mem, nullptr, &leases, &ep, &region);
+    harness::GfslStack stack(cfg, {.persist_path = path, .epochs = true});
+    Gfsl& sl = stack.gfsl();
     Team team(8, 0, 1);
     for (int round = 0; round < 3; ++round) churn_cycle(sl, team, 1, 600);
     for (Key k = 1; k <= 100; ++k) sl.insert(team, k, k);
@@ -431,16 +423,10 @@ TEST(ReclaimPersist, TornOddGenChunkClassifiedFreeNeverLive) {
                          std::memory_order_relaxed);
   }
   {
-    PersistRegion region(path, PersistRegion::Mode::kAttach);
-    sched::LeaseTable leases;
-    leases.attach(
-        static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-        /*adopt=*/true);
-    device::DeviceMemory mem;
-    GfslConfig cfg;
-    cfg.team_size = 8;
-    cfg.pool_chunks = 4096;
-    Gfsl sl(cfg, &mem, nullptr, &leases, nullptr, &region);
+    harness::GfslStack stack(
+        cfg, {.persist_path = path,
+              .persist_mode = PersistRegion::Mode::kAttach});
+    Gfsl& sl = stack.gfsl();
     const auto rep = sl.recover();
     ASSERT_TRUE(rep.ok) << rep.error;
     // Every stranded odd-gen chunk is back on the free-list ...

@@ -62,17 +62,14 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/gfsl.h"
-#include "device/device_memory.h"
 #include "device/fault_plane.h"
-#include "device/persist.h"
 #include "harness/corrupt_sweep.h"
 #include "harness/experiment.h"
 #include "harness/options.h"
 #include "harness/report.h"
+#include "harness/stack.h"
 #include "obs/metrics.h"
 #include "obs/trace_export.h"
-#include "sched/lease.h"
 
 using namespace gfsl;
 using namespace gfsl::harness;
@@ -166,7 +163,11 @@ int run_corrupt_cell(const Options& opt, bool csv) {
 /// down immediately after — this is the "fsck" entry point; a subsequent run
 /// with --persist PATH picks the repaired image back up.
 int run_recover(const std::string& path, bool csv) {
-  device::PersistRegion region(path, device::PersistRegion::Mode::kAttach);
+  StackOptions so;
+  so.persist_path = path;
+  so.persist_mode = device::PersistRegion::Mode::kAttach;
+  GfslStack stack(core::GfslConfig{}, so);  // geometry comes from the image
+  const device::PersistRegion& region = *stack.region();
   if (region.was_clean()) {
     std::fprintf(stderr,
                  "note: region was marked clean (%llu persist points "
@@ -174,15 +175,8 @@ int run_recover(const std::string& path, bool csv) {
                  static_cast<unsigned long long>(
                      region.recorded_persist_points()));
   }
-  sched::LeaseTable leases;
-  leases.attach(
-      static_cast<std::atomic<std::uint32_t>*>(region.lease_slots()),
-      /*adopt=*/true);
-  device::DeviceMemory mem;
-  core::GfslConfig cfg;
-  cfg.team_size = static_cast<int>(region.geometry().entries_per_chunk);
-  cfg.pool_chunks = region.geometry().capacity;
-  core::Gfsl sl(cfg, &mem, nullptr, &leases, nullptr, &region);
+  core::Gfsl& sl = stack.gfsl();
+  const core::GfslConfig& cfg = sl.config();
   const core::RecoveryReport rep = sl.recover();
 
   Table t({"metric", "value"});

@@ -107,10 +107,6 @@
 #include <thread>
 
 #include "common/random.h"
-#include "core/gfsl.h"
-#include "device/device_memory.h"
-#include "device/epoch.h"
-#include "device/persist.h"
 #include "harness/corrupt_sweep.h"
 #include "harness/crash_sweep.h"
 #include "harness/experiment.h"
@@ -119,11 +115,10 @@
 #include "harness/options.h"
 #include "harness/postmortem.h"
 #include "harness/runner.h"
+#include "harness/stack.h"
 #include "harness/workload.h"
 #include "obs/trace_export.h"
 #include "oracle.h"
-#include "sched/lease.h"
-#include "sched/step_scheduler.h"
 #include "simt/trace.h"
 
 using namespace gfsl;
@@ -144,21 +139,20 @@ struct RoundParams {
 };
 
 bool run_round(const RoundParams& p, std::string* err) {
-  device::DeviceMemory mem;
   sched::StepScheduler sched(sched::StepScheduler::Mode::Deterministic,
                              p.sched_seed, p.workers);
   core::GfslConfig cfg;
   cfg.team_size = p.team_size;
   cfg.pool_chunks = 1u << 14;
+  StackOptions so;
+  so.scheduler = &sched;
   // Threshold 1 keeps the table churning, so hinted descents race every
   // split/merge the mix produces instead of settling into a stale no-op.
-  std::unique_ptr<core::ForesightIndex> foresight;
-  if (p.with_foresight) {
-    foresight = std::make_unique<core::ForesightIndex>(
-        cfg.pool_chunks, /*stride=*/1, /*rebuild_threshold=*/1);
-  }
-  core::Gfsl sl(cfg, &mem, &sched, nullptr, nullptr, nullptr, nullptr,
-                foresight.get());
+  so.foresight = p.with_foresight;
+  so.foresight_stride = 1;
+  so.foresight_rebuild_threshold = 1;
+  GfslStack stack(cfg, so);
+  core::Gfsl& sl = stack.gfsl();
 
   WorkloadConfig wl;
   wl.mix = kMix_20_20_60;  // update-heavy: maximum structural churn
@@ -471,26 +465,18 @@ int run_churn_mode(const Options& opt) {
   const std::string persist_path = opt.get("persist", "");
   const bool want_obs = !metrics_json.empty() || !pm_dir.empty();
 
-  device::DeviceMemory mem;
-  device::EpochManager epochs;
   core::GfslConfig cfg;
   cfg.team_size = team_size;
   cfg.pool_chunks = pool;
+  StackOptions so;
+  so.epochs = true;
   // --persist: back the arena with a durable region so every transition in
   // the churn storm crosses a persist barrier — the persistence hot path
   // soaked under free-running (non-deterministic) contention.
-  std::unique_ptr<device::PersistRegion> region;
-  std::unique_ptr<sched::LeaseTable> leases;
-  if (!persist_path.empty()) {
-    region = std::make_unique<device::PersistRegion>(
-        persist_path, device::PersistRegion::Mode::kCreate,
-        device::PersistGeometry{static_cast<std::uint32_t>(team_size), pool});
-    leases = std::make_unique<sched::LeaseTable>();
-    leases->attach(
-        static_cast<std::atomic<std::uint32_t>*>(region->lease_slots()),
-        /*adopt=*/false);
-  }
-  core::Gfsl sl(cfg, &mem, nullptr, leases.get(), &epochs, region.get());
+  so.persist_path = persist_path;
+  GfslStack stack(cfg, so);
+  core::Gfsl& sl = stack.gfsl();
+  device::PersistRegion* region = stack.region();
 
   obs::MetricsRegistry reg(workers);
   reg.set_info("mode", "churn");
@@ -588,7 +574,7 @@ int run_churn_mode(const Options& opt) {
       static_cast<unsigned long long>(total_ops), pool,
       static_cast<unsigned long long>(sl.chunks_reclaimed()),
       sl.chunks_allocated(),
-      static_cast<unsigned long long>(epochs.limbo_total()), workers,
+      static_cast<unsigned long long>(sl.epochs()->limbo_total()), workers,
       team_size, static_cast<unsigned long long>(range));
   if (region) {
     std::printf("  persisted: %llu barriers crossed, clean shutdown marked "
@@ -621,12 +607,13 @@ int run_batch_mode(const Options& opt) {
     const bool multi_team = (round % 2) == 1;   // odd: stealing runner
     const bool with_epochs = (round % 4) >= 2;  // every 2nd pair: reclamation
 
-    device::DeviceMemory mem;
-    device::EpochManager epochs;
     core::GfslConfig cfg;
     cfg.team_size = team_size;
     cfg.pool_chunks = 1u << 14;
-    core::Gfsl sl(cfg, &mem, nullptr, nullptr, with_epochs ? &epochs : nullptr);
+    StackOptions so;
+    so.epochs = with_epochs;
+    GfslStack stack(cfg, so);
+    core::Gfsl& sl = stack.gfsl();
 
     WorkloadConfig wl;
     wl.mix = kMix_20_20_60;
@@ -649,7 +636,7 @@ int run_batch_mode(const Options& opt) {
       if (!pm_dir.empty()) rc.trace = &session;
       BatchRunOptions bo;
       bo.batch_size = nops / 4;
-      (void)run_gfsl_batched(sl, ops, rc, mem, bo, &br);
+      (void)run_gfsl_batched(sl, ops, rc, stack.mem(), bo, &br);
     } else {
       simt::Team team(team_size, 0, 3);
       if (want_obs) team.set_metrics(&reg.shard(0));
