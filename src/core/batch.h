@@ -76,7 +76,7 @@ struct BatchResult {
 /// which the lateral walk corrects; it can never cause a wrong skip.  Chunk
 /// *recycling* breaks the at-or-left guarantee, which is why the cursor must
 /// never outlive the epoch pin it was built under: execute_shard invalidates
-/// it at every pin refresh, and batch_search falls back to a cold descent on
+/// it at every pin refresh, and search_slow falls back to a cold descent on
 /// any generation-stamp mismatch.
 struct BatchCursor {
   struct Entry {

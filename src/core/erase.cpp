@@ -22,25 +22,22 @@ Value value_of(const LaneVec<KV>& kv, int dsz, Key k) {
 
 }  // namespace
 
-bool Gfsl::erase(Team& team, Key k) {
+bool Gfsl::erase(Team& team, Key k) { return erase_impl(team, k, nullptr); }
+
+bool Gfsl::erase_impl(Team& team, Key k, BatchCursor* cur) {
   if (k < MIN_USER_KEY || k > MAX_USER_KEY) {
     throw std::invalid_argument("key outside the user key range");
   }
   simt::OpScope scope(team, obs::kEraseOp, k);
-  const bool ok = erase_impl(team, k);
-  scope.set_result(ok);
-  return ok;
-}
-
-bool Gfsl::erase_impl(Team& team, Key k) {
-  EpochScope epoch(*this, team);
-  SlowSearchResult sr = search_slow(team, k);
-  if (!sr.found) {
-    epoch.exit();
-    return false;
+  // Unchecked commit-half reads: as in insert_impl, a cursor outlives no pin.
+  if (cur != nullptr && epochs_ != nullptr && !epochs_->pinned(team.id())) {
+    cur->invalidate();
   }
-  const bool ok = erase_committed(team, k, sr);
+  EpochScope epoch(*this, team);
+  const SlowSearchResult sr = search_slow(team, k, cur);
+  const bool ok = sr.found && erase_committed(team, k, sr);
   epoch.exit();
+  scope.set_result(ok);
   return ok;
 }
 

@@ -176,13 +176,14 @@ class Gfsl {
   /// ordered-scan operation key-value stores need from their memtables.
   ///
   /// Consistency contract (best-effort / "legacy" scan): the result is NOT a
-  /// point-in-time snapshot.  Each visited chunk is internally consistent
-  /// (seqlock-checked read), and any key present in [lo, hi] for the *whole*
-  /// scan is returned, but keys inserted or erased concurrently may or may
-  /// not appear, a concurrent split/merge can restart the scan from `lo`,
-  /// and two keys in the result may never have coexisted.  For a consistent
-  /// cut use snapshot() + scan_at(), which resolves every key as-of one
-  /// revision and never restarts mid-range.
+  /// point-in-time snapshot.  The output is strictly ascending, each key at
+  /// most once (a concurrent shift, split or merge can show a key in two
+  /// slots; the later sightings are dropped), and any key present in
+  /// [lo, hi] for the *whole* scan is returned, but keys inserted or erased
+  /// concurrently may or may not appear, a concurrent split/merge can
+  /// restart the scan from `lo`, and two keys in the result may never have
+  /// coexisted.  For a consistent cut use snapshot() + scan_at(), which
+  /// resolves every key as-of one revision and never restarts mid-range.
   std::size_t scan(simt::Team& team, Key lo, Key hi,
                    std::vector<std::pair<Key, Value>>& out,
                    std::size_t limit = SIZE_MAX);
@@ -213,7 +214,7 @@ class Gfsl {
   // --- Batch execution (batch.cpp; DESIGN.md §10) ---------------------------
   // Cursor-carrying variants of contains/insert/erase for key-sorted shard
   // execution.  Keys must be presented to one cursor in ascending order
-  // (batch_search falls back to a cold descent — and re-warms — otherwise).
+  // (search_slow falls back to a cold descent — and re-warms — otherwise).
   // Semantics are identical to the per-op API.
 
   bool contains_batch(simt::Team& team, Key k, BatchCursor& cur);
@@ -420,13 +421,22 @@ class Gfsl {
   int tid_with_equal_key(simt::Team& team, Key k, const simt::LaneVec<KV>& kv);
   Guarded search_down(simt::Team& team, Key k);
   bool search_lateral(simt::Team& team, Key k, Guarded start, Value* out_value,
-                      bool* stale = nullptr);
+                      bool* stale);
+  /// The body of contains and find: `out_value` receives the value when
+  /// non-null.
+  bool contains_impl(simt::Team& team, Key k, Value* out_value);
 
   struct SlowSearchResult {
     bool found = false;
     simt::LaneVec<ChunkRef> path;  // lane l: chunk in level l to start from
   };
-  SlowSearchResult search_slow(simt::Team& team, Key k);
+  /// Algorithm 4.6, the one path-recording descent.  With `cur` (the batch
+  /// engine) it starts at the lowest cached level still covering k and
+  /// refreshes the cursor on the way down; an out-of-order key or any
+  /// restart goes cold (cursor invalidated, descent from the head).
+  /// Without one it records nothing beyond the path.
+  SlowSearchResult search_slow(simt::Team& team, Key k,
+                               BatchCursor* cur = nullptr);
 
   /// Exact-key lateral search on `level`; returns {found, chunk reached}.
   std::pair<bool, ChunkRef> find_lateral(simt::Team& team, Key k,
@@ -435,17 +445,16 @@ class Gfsl {
   /// searchDown that stops when reaching `target_level` (Algorithm 4.10).
   ChunkRef search_down_to_level(simt::Team& team, int target_level, Key k);
 
-  /// Follow next pointers from a zombie to the first non-zombie chunk.
-  /// When `skipped` is non-null the intermediate zombies are appended to it
-  /// (the retire list of a successful unlink).  When `stale` is non-null the
-  /// chain is walked with generation-checked reads; on a stamp mismatch
-  /// `*stale` is set and NULL_CHUNK returned — the caller must restart.
-  ChunkRef first_non_zombie(simt::Team& team, const simt::LaneVec<KV>& kv,
-                            std::vector<ChunkRef>* skipped = nullptr,
-                            bool* stale = nullptr);
-  /// Lazily unlink zombies between prev and `first_nz` (searchSlow, §4.2.2).
-  void redirect_to_remove_zombie(simt::Team& team, ChunkRef prev,
-                                 ChunkRef first_nz);
+  /// search_slow met `zombie` (contents `kv`) on `level`: walk the chain
+  /// to the first non-zombie with generation-checked reads, then unlink the
+  /// chain through `prev`, its lateral predecessor, or — when there is none
+  /// and the zombie leads its level — swing the level head past it and
+  /// retire the chain.  Returns the first non-zombie, or a NULL_CHUNK ref on
+  /// a stamp mismatch (the caller must restart).
+  Guarded skip_zombies(simt::Team& team, int level, ChunkRef zombie,
+                       ChunkRef prev, const simt::LaneVec<KV>& kv);
+  /// Lazily unlink the zombies after prev (searchSlow, §4.2.2).
+  void redirect_to_remove_zombie(simt::Team& team, ChunkRef prev);
 
   // ---- foresight hint index (foresight.cpp; DESIGN.md §14) ----
   /// Hinted start for k's bottom-level lateral walk: consult the published
@@ -471,20 +480,13 @@ class Gfsl {
   /// retired chunk anywhere could complete its grace period.
   static constexpr std::uint32_t kBatchPinRefresh = 64;
 
-  /// search_slow with a warm start: descend from the lowest cursor level
-  /// still covering k instead of from the head, and refresh the cursor's
-  /// entries along the way.  Returns the same path/found result as
-  /// search_slow; any staleness or backtrack-without-prev goes cold
-  /// (cursor invalidated, full restart from the head).
-  SlowSearchResult batch_search(simt::Team& team, Key k, BatchCursor& cur);
-
   // ---- insert (insert.cpp) ----
   enum class InsertStatus { kInserted, kDuplicate, kNoMemory };
-  bool insert_impl(simt::Team& team, Key k, Value v);
+  /// The body of insert and insert_batch (`cur` null for the per-op API).
+  bool insert_impl(simt::Team& team, Key k, Value v, BatchCursor* cur);
   /// The post-search half of insert_impl: commit <k, v> through the recorded
-  /// path (bottom lock, raise loop).  Shared verbatim between the per-op and
-  /// batch entry points so their step sequences cannot drift.  Throws
-  /// bad_alloc on bottom-level pool exhaustion (structure untouched).
+  /// path (bottom lock, raise loop).  Throws bad_alloc on bottom-level pool
+  /// exhaustion (structure untouched).
   bool insert_committed(simt::Team& team, Key k, Value v,
                         const SlowSearchResult& sr);
   InsertStatus insert_to_level(simt::Team& team, int level, ChunkRef& enc,
@@ -515,11 +517,12 @@ class Gfsl {
                             ChunkRef enc_ref, ChunkRef next_ref, Key k);
 
   // ---- erase (erase.cpp) ----
-  bool erase_impl(simt::Team& team, Key k);
+  /// The body of erase and erase_batch (`cur` null for the per-op API).
+  bool erase_impl(simt::Team& team, Key k, BatchCursor* cur);
   /// The post-search half of erase_impl: lock the bottom enclosing chunk,
   /// re-check containment, peel k out of the upper levels top-down, then
-  /// remove it from the bottom.  Shared between the per-op and batch entry
-  /// points.  False when k vanished between search and lock.
+  /// remove it from the bottom.  False when k vanished between search and
+  /// lock.
   bool erase_committed(simt::Team& team, Key k, const SlowSearchResult& sr);
   /// Remove k from the locked chunk `enc_ref`, merging if underfull.
   /// Releases (or zombifies) every lock it holds either way.  Returns false

@@ -11,24 +11,26 @@ using simt::LaneVec;
 using simt::Team;
 
 bool Gfsl::insert(Team& team, Key k, Value v) {
+  return insert_impl(team, k, v, nullptr);
+}
+
+bool Gfsl::insert_impl(Team& team, Key k, Value v, BatchCursor* cur) {
   if (k < MIN_USER_KEY || k > MAX_USER_KEY) {
     throw std::invalid_argument("key outside the user key range");
   }
   simt::OpScope scope(team, obs::kInsertOp, k);
-  const bool ok = insert_impl(team, k, v);
-  scope.set_result(ok);
-  return ok;
-}
-
-bool Gfsl::insert_impl(Team& team, Key k, Value v) {
-  EpochScope epoch(*this, team);
-  SlowSearchResult sr = search_slow(team, k);
-  if (sr.found) {
-    epoch.exit();
-    return false;
+  // The commit half walks the recorded path with unchecked reads, which is
+  // only sound while nothing recorded into the cursor can be recycled.  An
+  // enclosing pin (execute_shard) guarantees that; without one, each op's
+  // own pin is the protection boundary, so warm reuse must be forfeited.
+  if (cur != nullptr && epochs_ != nullptr && !epochs_->pinned(team.id())) {
+    cur->invalidate();
   }
-  const bool ok = insert_committed(team, k, v, sr);
+  EpochScope epoch(*this, team);
+  const SlowSearchResult sr = search_slow(team, k, cur);
+  const bool ok = !sr.found && insert_committed(team, k, v, sr);
   epoch.exit();
+  scope.set_result(ok);
   return ok;
 }
 

@@ -104,9 +104,7 @@ bool Gfsl::search_lateral(Team& team, Key k, Guarded start, Value* out_value,
   std::uint64_t reads = 0;
   for (;;) {
     bool st = false;
-    const LaneVec<KV> kv = stale != nullptr
-                               ? read_chunk_checked(team, cur, &st)
-                               : read_chunk(team, cur.ref);
+    const LaneVec<KV> kv = read_chunk_checked(team, cur, &st);
     ++reads;
     if (st) {  // recycled under us; the caller restarts from the top
       traversal_chunk_reads_.fetch_add(reads, std::memory_order_relaxed);
@@ -131,6 +129,16 @@ bool Gfsl::search_lateral(Team& team, Key k, Guarded start, Value* out_value,
 }
 
 bool Gfsl::contains(Team& team, Key k) {
+  return contains_impl(team, k, nullptr);
+}
+
+std::optional<Value> Gfsl::find(Team& team, Key k) {
+  Value v{};
+  if (contains_impl(team, k, &v)) return v;
+  return std::nullopt;
+}
+
+bool Gfsl::contains_impl(Team& team, Key k, Value* out_value) {
   simt::OpScope scope(team, obs::kContainsOp, k);
   EpochScope epoch(*this, team);
   bool r = false;
@@ -146,7 +154,7 @@ bool Gfsl::contains(Team& team, Key k) {
     } else {
       start = search_down(team, k);
     }
-    r = search_lateral(team, k, start, nullptr, &stale);
+    r = search_lateral(team, k, start, out_value, &stale);
     if (!stale) break;
   }
   epoch.exit();
@@ -154,54 +162,7 @@ bool Gfsl::contains(Team& team, Key k) {
   return r;
 }
 
-std::optional<Value> Gfsl::find(Team& team, Key k) {
-  simt::OpScope scope(team, obs::kContainsOp, k);
-  EpochScope epoch(*this, team);
-  Value v{};
-  bool r = false;
-  for (;;) {
-    bool stale = false;
-    Guarded start;
-    if (foresight_start(team, k, &start)) {
-      traversals_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      start = search_down(team, k);
-    }
-    r = search_lateral(team, k, start, &v, &stale);
-    if (!stale) break;
-  }
-  epoch.exit();
-  scope.set_result(r);
-  if (r) return v;
-  return std::nullopt;
-}
-
-ChunkRef Gfsl::first_non_zombie(Team& team, const LaneVec<KV>& kv,
-                                std::vector<ChunkRef>* skipped, bool* stale) {
-  // Follow next pointers until a non-zombie chunk; the last chunk in a level
-  // is never a zombie (§4.2.3), so this terminates.  Zombies are frozen
-  // (terminal lock state; nobody writes their entries again), so the chain
-  // recorded in `skipped` is exactly the chain a subsequent unlink removes.
-  // With `stale` the walk is generation-checked: the chain may contain
-  // already-unlinked zombies a concurrent reclaim pass could recycle.
-  Guarded cur = guard_ref(next_of(team, kv));
-  for (;;) {
-    bool st = false;
-    const LaneVec<KV> nkv = stale != nullptr
-                                ? read_chunk_checked(team, cur, &st)
-                                : read_chunk(team, cur.ref);
-    if (st) {
-      *stale = true;
-      return NULL_CHUNK;
-    }
-    if (!is_zombie(team, nkv)) return cur.ref;
-    note_zombie(team, cur.ref);
-    if (skipped != nullptr) skipped->push_back(cur.ref);
-    cur = guard_ref(next_of(team, nkv));
-  }
-}
-
-void Gfsl::redirect_to_remove_zombie(Team& team, ChunkRef prev, ChunkRef) {
+void Gfsl::redirect_to_remove_zombie(Team& team, ChunkRef prev) {
   // Lazy unlinking (§4.2.2): try-lock the predecessor; on failure just move
   // on.  Under the lock, re-resolve the first non-zombie successor — the
   // previously computed one may be stale if prev was split meanwhile.
@@ -230,11 +191,66 @@ void Gfsl::redirect_to_remove_zombie(Team& team, ChunkRef prev, ChunkRef) {
   unlock(team, prev);
 }
 
-Gfsl::SlowSearchResult Gfsl::search_slow(Team& team, Key k) {
+Gfsl::Guarded Gfsl::skip_zombies(Team& team, int level, ChunkRef zombie,
+                                 ChunkRef prev, const LaneVec<KV>& kv) {
+  note_zombie(team, zombie);
+  // A zombie leading its level has no predecessor to unlink through, so the
+  // head itself swings past it.  On the bottom level only with an
+  // EpochManager: detached, leaked zombies are harmless and the seed's exact
+  // step sequence is kept; under reclamation, erasing small keys merges the
+  // head chunk over and over and the zombie chain would pin the pool.
+  const bool at_head =
+      prev == NULL_CHUNK && (level > 0 || epochs_ != nullptr) &&
+      head_[static_cast<std::size_t>(level)].load(std::memory_order_acquire) ==
+          zombie;
+  std::vector<ChunkRef> chain;  // the zombies a won head swing unlinks
+  if (at_head) chain.push_back(zombie);
+  // Follow next pointers to the first non-zombie; the last chunk in a level
+  // is never a zombie (§4.2.3), so this terminates.  Zombies are frozen
+  // (terminal lock state; nobody writes their entries again), so `chain` is
+  // exactly what the swing below removes.  The walk is generation-checked:
+  // the chain may hold already-unlinked zombies a concurrent reclaim pass
+  // could recycle.
+  Guarded nz = guard_ref(next_of(team, kv));
+  for (;;) {
+    bool stale = false;
+    const LaneVec<KV> nkv = read_chunk_checked(team, nz, &stale);
+    if (stale) return {};
+    if (!is_zombie(team, nkv)) break;
+    note_zombie(team, nz.ref);
+    if (at_head) chain.push_back(nz.ref);
+    nz = guard_ref(next_of(team, nkv));
+  }
+  if (prev != NULL_CHUNK) {
+    redirect_to_remove_zombie(team, prev);
+  } else if (at_head) {
+    // Zombie next pointers are frozen, so a won CAS from `zombie` unlinks
+    // exactly `chain` — the unique retire point for it.
+    ChunkRef expected = zombie;
+    mem_->atomic_rmw(head_device_base_ + 256 +
+                     static_cast<std::uint64_t>(level) * 4u);
+    if (head_[static_cast<std::size_t>(level)].compare_exchange_strong(
+            expected, nz.ref, std::memory_order_acq_rel,
+            std::memory_order_acquire)) {
+      for (const ChunkRef z : chain) retire_chunk(team, z);
+    }
+    team.step();
+  }
+  return guard_ref(nz.ref);
+}
+
+Gfsl::SlowSearchResult Gfsl::search_slow(Team& team, Key k, BatchCursor* cur) {
   // Algorithm 4.6: the Contains traversal plus (a) the per-lane path
   // "artificial array" — lane l records the chunk in level l through which
   // the down step was taken — and (b) lazy zombie unlinking.
+  //
+  // With a cursor (the batch engine, DESIGN.md §10) the descent starts warm
+  // and refreshes the cursor on the way down; BatchCursor (batch.h) argues
+  // why a stale entry is still safe.  Any restart goes cold, and so does an
+  // out-of-order key, which could start right of its enclosing chunk.
+  if (cur != nullptr && cur->warm() && k < cur->last_key) cur->invalidate();
   std::uint64_t reads = 0;
+  bool counted = false;  // the reuse/full tally counts the first attempt
   for (;;) {
     SlowSearchResult r;
     for (int l = 0; l < simt::kWarpSize; ++l) {
@@ -245,145 +261,118 @@ Gfsl::SlowSearchResult Gfsl::search_slow(Team& team, Key k) {
     }
     team.step();  // the headPtrAtHeight lockstep read
 
-    LaneVec<KV> prev_kv;
-    ChunkRef prev_ref = NULL_CHUNK;
-    bool have_prev = false;
-    // Always the classic descent, never a foresight hint: the commit halves
-    // (erase's per-level peel, insert's raise loop) start each upper level
-    // from the chunk recorded here.  A hinted start would leave those lanes
-    // at the level heads and turn every upper-level step into a lateral walk
-    // over half the level (DESIGN.md §14).
-    int height = height_coop(team);
-    Guarded cur = guard_ref(head_of(team, height));
-    bool restart = false;
-
-    while (height > 0) {
-      bool stale = false;
-      LaneVec<KV> kv = read_chunk_checked(team, cur, &stale);
-      ++reads;
-      if (stale) {  // chunk recycled under us — the path is garbage
-        restart = true;
-        break;
+    // Warm start: the lowest cached level whose max still covers k.  Levels
+    // above it keep their cursor chunks as path entries — each was on a
+    // previous descent's path for a key <= k, which is exactly the "k is
+    // laterally reachable from here" invariant the commit halves need.
+    int height = -1;
+    if (cur != nullptr && cur->warm()) {
+      for (int l = 0; l <= cur->height && height < 0; ++l) {
+        const BatchCursor::Entry& e = cur->levels[static_cast<std::size_t>(l)];
+        if (e.ref != NULL_CHUNK && k <= e.max) height = l;
       }
+    }
+    int top;
+    Guarded g;
+    if (height >= 0) {
+      for (int l = height + 1; l <= cur->height; ++l) {
+        const ChunkRef c = cur->levels[static_cast<std::size_t>(l)].ref;
+        if (c != NULL_CHUNK) r.path[l] = c;
+      }
+      top = cur->height;
+      const BatchCursor::Entry& e =
+          cur->levels[static_cast<std::size_t>(height)];
+      g = Guarded{e.ref, e.gen};
+      if (!counted) {
+        ++cur->reuses;
+        team.metric(obs::kBatchDescentReuses);
+      }
+    } else {
+      // Cold: the classic head descent, never a foresight hint: the commit
+      // halves (erase's per-level peel, insert's raise loop) start each
+      // upper level from the chunk recorded here.  A hinted start would
+      // leave those lanes at the level heads and turn every upper-level step
+      // into a lateral walk over half the level (DESIGN.md §14).
+      height = height_coop(team);
+      top = height;
+      g = guard_ref(head_of(team, height));
+      if (cur != nullptr && !counted) {
+        ++cur->fulls;
+        team.metric(obs::kBatchFullDescents);
+      }
+    }
+    counted = true;
+
+    // Record the chunk through which the descent leaves `level`; with a
+    // cursor, also cache it with its max for the next key.
+    const auto record = [&](int level, Guarded c, const LaneVec<KV>& ckv) {
+      r.path[level] = c.ref;
+      if (cur != nullptr) {
+        cur->levels[static_cast<std::size_t>(level)] = {c.ref, c.gen,
+                                                        max_of(team, ckv)};
+      }
+    };
+
+    LaneVec<KV> prev_kv;
+    Guarded prev;  // lateral predecessor on this level, if any
+    bool done = false;
+    for (;;) {
+      bool stale = false;
+      const LaneVec<KV> kv = read_chunk_checked(team, g, &stale);
+      ++reads;
+      if (stale) break;  // chunk recycled under us — the path is garbage
       if (is_zombie(team, kv)) {
-        note_zombie(team, cur.ref);
-        const bool at_head =
-            !have_prev && head_[static_cast<std::size_t>(height)].load(
-                              std::memory_order_acquire) == cur.ref;
-        std::vector<ChunkRef> chain;
-        if (at_head) chain.push_back(cur.ref);
-        bool chain_stale = false;
-        const ChunkRef fnz = first_non_zombie(
-            team, kv, at_head ? &chain : nullptr, &chain_stale);
-        if (chain_stale) {
-          restart = true;
-          break;
-        }
-        if (have_prev) {
-          redirect_to_remove_zombie(team, prev_ref, fnz);
-        } else if (at_head) {
-          // The zombie was the first chunk in the level: swing the head.
-          // Zombie next pointers are frozen, so a won CAS from `cur`
-          // unlinks exactly `chain` — the unique retire point for it.
-          ChunkRef expected = cur.ref;
-          mem_->atomic_rmw(head_device_base_ + 256 +
-                           static_cast<std::uint64_t>(height) * 4u);
-          if (head_[static_cast<std::size_t>(height)].compare_exchange_strong(
-                  expected, fnz, std::memory_order_acq_rel,
-                  std::memory_order_acquire)) {
-            for (const ChunkRef z : chain) retire_chunk(team, z);
-          }
-          team.step();
-        }
-        cur = guard_ref(fnz);
+        g = skip_zombies(team, height, g.ref, prev.ref, kv);
+        if (g.ref == NULL_CHUNK) break;
         continue;
       }
-      const int step = tid_for_next_step(team, k, kv);
+      const int step = height > 0 ? tid_for_next_step(team, k, kv)
+                                  : tid_with_equal_key(team, k, kv);
       if (step == team.next_lane()) {  // lateral
         prev_kv = kv;
-        prev_ref = cur.ref;
-        have_prev = true;
-        cur = guard_ref(next_of(team, kv));
-      } else if (step != kNone) {  // down
-        r.path[height] = cur.ref;
-        --height;
-        have_prev = false;
-        cur = guard_ref(ptr_from_tid(team, step, kv));
+        prev = g;
+        g = guard_ref(next_of(team, kv));
+        continue;
+      }
+      if (height == 0) {  // k's enclosing bottom chunk
+        record(0, g, kv);
+        r.found = (step != kNone);
+        done = true;
+        break;
+      }
+      ChunkRef down;
+      if (step != kNone) {  // down
+        record(height, g, kv);
+        down = ptr_from_tid(team, step, kv);
       } else {  // backtrack
-        if (!have_prev) {
+        if (prev.ref == NULL_CHUNK) {
+          // All keys here are > k and there is no predecessor to step down
+          // through (under a warm start: the cursor chunk's contents
+          // migrated past k).  Restart cold.
           ++team.counters().restarts;
-          team.record(simt::TraceEvent::kRestart, cur.ref, k);
-          restart = true;
+          team.record(simt::TraceEvent::kRestart, g.ref, k);
           break;
         }
-        r.path[height] = prev_ref;
+        // Step down through the previous chunk, whose max (its last key) is
+        // < k because we stepped laterally past it.
+        record(height, prev, prev_kv);
         const std::uint32_t bal = team.ballot_fn([&](int i) {
           return i < team.dsize() && kv_key(prev_kv[i]) <= k;
         });
-        --height;
-        cur = guard_ref(ptr_from_tid(team, Team::highest_lane(bal), prev_kv));
-        have_prev = false;
+        down = ptr_from_tid(team, Team::highest_lane(bal), prev_kv);
       }
+      --height;
+      prev = {};
+      g = guard_ref(down);
     }
-    if (restart) continue;
-
-    // Bottom level: lateral walk with zombie unlinking; the enclosing chunk
-    // becomes path[0].
-    ChunkRef bprev = NULL_CHUNK;
-    for (;;) {
-      bool stale = false;
-      const LaneVec<KV> kv = read_chunk_checked(team, cur, &stale);
-      ++reads;
-      if (stale) {
-        restart = true;
-        break;
-      }
-      if (is_zombie(team, kv)) {
-        note_zombie(team, cur.ref);
-        // The seed never unlinked a zombified *first* bottom chunk (no
-        // predecessor to redirect through), which is harmless when zombies
-        // leak but fatal under reclamation: erasing small keys merges the
-        // head chunk over and over and the zombie chain pins the pool.
-        // With an EpochManager attached, mirror the upper-level head swing;
-        // detached, keep the seed's exact step sequence.
-        const bool at_head =
-            epochs_ != nullptr && bprev == NULL_CHUNK &&
-            head_[0].load(std::memory_order_acquire) == cur.ref;
-        std::vector<ChunkRef> chain;
-        if (at_head) chain.push_back(cur.ref);
-        bool chain_stale = false;
-        const ChunkRef fnz = first_non_zombie(
-            team, kv, at_head ? &chain : nullptr, &chain_stale);
-        if (chain_stale) {
-          restart = true;
-          break;
-        }
-        if (bprev != NULL_CHUNK) {
-          redirect_to_remove_zombie(team, bprev, fnz);
-        } else if (at_head) {
-          ChunkRef expected = cur.ref;
-          mem_->atomic_rmw(head_device_base_ + 256);
-          if (head_[0].compare_exchange_strong(expected, fnz,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire)) {
-            for (const ChunkRef z : chain) retire_chunk(team, z);
-          }
-          team.step();
-        }
-        cur = guard_ref(fnz);
-        continue;
-      }
-      const int found = tid_with_equal_key(team, k, kv);
-      if (found == team.next_lane()) {
-        bprev = cur.ref;
-        cur = guard_ref(next_of(team, kv));
-        continue;
-      }
-      r.path[0] = cur.ref;
-      r.found = (found != kNone);
-      break;
+    if (!done) {
+      if (cur != nullptr) cur->invalidate();
+      continue;
     }
-    if (restart) continue;
+    if (cur != nullptr) {
+      cur->height = top;
+      cur->last_key = k;
+    }
     traversal_chunk_reads_.fetch_add(reads, std::memory_order_relaxed);
     traversals_.fetch_add(1, std::memory_order_relaxed);
     return r;
@@ -415,7 +404,10 @@ std::size_t Gfsl::scan(Team& team, Key lo, Key hi,
         continue;
       }
       // Cooperative in-range vote; entries are sorted within the chunk, so
-      // gathering in slot order keeps the output ordered.
+      // gathering in slot order keeps the output ordered.  A concurrent
+      // writer can show one key twice — mid-shift, mid-merge, or in a split
+      // chunk whose moved tail is not yet cleared — so an entry is appended
+      // only when its key is above the last one this attempt appended.
       const std::uint32_t in_range = team.ballot_fn([&](int i) {
         if (i >= team.dsize()) return false;
         const Key k = kv_key(kv[i]);
@@ -428,7 +420,9 @@ std::size_t Gfsl::scan(Team& team, Key lo, Key hi,
           full = true;
           break;
         }
-        out.emplace_back(kv_key(kv[i]), kv_value(kv[i]));
+        const Key k = kv_key(kv[i]);
+        if (out.size() > start_size && k <= out.back().first) continue;
+        out.emplace_back(k, kv_value(kv[i]));
       }
       const Key max = max_of(team, kv);
       const ChunkRef nxt = next_of(team, kv);

@@ -220,8 +220,8 @@ VerifyOutcome verify_image(const ProcCrashSweepConfig& cfg,
         return out;
       }
       events.push_back(HistoryEvent{it->second, i,
-                                    static_cast<OpKind>(r.kind), r.key,
-                                    r.result != 0, r.worker});
+                                    static_cast<OpKind>(r.kind),
+                                    ops[r.opid].key, r.result != 0, r.worker});
       open.erase(it);
     }
   }

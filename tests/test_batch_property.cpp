@@ -14,6 +14,7 @@
 #include "core/gfsl.h"
 #include "device/device_memory.h"
 #include "harness/runner.h"
+#include "harness/stack.h"
 #include "oracle.h"
 #include "sched/batch_dispatch.h"
 #include "sched/step_scheduler.h"
@@ -136,6 +137,61 @@ TEST(BatchProperty, BatchOfOneEqualsPerOpApi) {
         << "op " << i;
   }
   EXPECT_EQ(batched.sl->collect(), perop.sl->collect());
+}
+
+TEST(BatchProperty, ColdCursorOpsMatchPerOpStepForStep) {
+  // insert_batch/erase_batch and insert/erase run one descent: with the
+  // cursor invalidated before every op, the batch entry points must take the
+  // per-op path step for step.  The only extra work is the cursor's own max
+  // reads, one shfl per recorded level; a shfl is also an instruction, so
+  // instructions are compared net of shfls.
+  Xoshiro256ss rng(2024);
+  std::vector<Op> ops;
+  for (int i = 0; i < 2'000; ++i) {
+    const Key k = static_cast<Key>(1 + rng.below(300));
+    const OpKind kind = rng.below(2) == 0 ? OpKind::Insert : OpKind::Delete;
+    ops.push_back(Op{kind, k, value_of(k), 0});
+  }
+  GfslConfig cfg;
+  cfg.team_size = 8;
+  cfg.pool_chunks = 1u << 12;
+  for (const bool epochs : {false, true}) {
+    SCOPED_TRACE(epochs ? "with an EpochManager" : "detached");
+    harness::GfslStack perop(cfg, {.epochs = epochs});
+    harness::GfslStack batched(cfg, {.epochs = epochs});
+    Team tp(8, 0, 12);
+    Team tb(8, 0, 12);
+    BatchCursor cur;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const Op& op = ops[i];
+      cur.invalidate();
+      const bool want = op.kind == OpKind::Insert
+                            ? perop.gfsl().insert(tp, op.key, op.value)
+                            : perop.gfsl().erase(tp, op.key);
+      const bool got =
+          op.kind == OpKind::Insert
+              ? batched.gfsl().insert_batch(tb, op.key, op.value, cur)
+              : batched.gfsl().erase_batch(tb, op.key, cur);
+      ASSERT_EQ(got, want) << "op " << i;
+    }
+    EXPECT_EQ(cur.reuses, 0u);
+    EXPECT_EQ(cur.fulls, ops.size());
+    EXPECT_EQ(batched.gfsl().collect(), perop.gfsl().collect());
+
+    const simt::TeamCounters& p = tp.counters();
+    const simt::TeamCounters& b = tb.counters();
+    EXPECT_EQ(b.instructions - b.shfls, p.instructions - p.shfls);
+    EXPECT_GT(b.shfls, p.shfls);
+    EXPECT_EQ(b.ballots, p.ballots);
+    EXPECT_EQ(b.restarts, p.restarts);
+    EXPECT_EQ(b.lock_acquires, p.lock_acquires);
+    const device::MemStats mp = perop.mem().snapshot();
+    const device::MemStats mb = batched.mem().snapshot();
+    EXPECT_EQ(mb.warp_reads, mp.warp_reads);
+    EXPECT_EQ(mb.transactions, mp.transactions);
+    EXPECT_EQ(mb.l2_hits, mp.l2_hits);
+    EXPECT_EQ(mb.atomics, mp.atomics);
+  }
 }
 
 TEST(BatchProperty, SortedEqualsShuffledOnDistinctKeys) {

@@ -1,14 +1,17 @@
 // Tests for the cooperative range-scan extension.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "common/random.h"
 #include "core/gfsl.h"
 #include "device/device_memory.h"
+#include "sched/step_scheduler.h"
 
 namespace gfsl::core {
 namespace {
@@ -150,6 +153,57 @@ TEST(Scan, StableKeysVisibleUnderConcurrentChurn) {
   writer.join();
   scanner.join();
   EXPECT_EQ(bad.load(), 0);
+}
+
+TEST(Scan, WriterKilledAtEveryStepNeverShowsAKeyTwice) {
+  // A writer killed at step s freezes whatever its insert left half done: a
+  // right-to-left shift with one key in two slots, or a split whose new NEXT
+  // entry is published while the moved tail still sits in the old chunk.
+  // Kill it at every step in turn; a scan of each frozen state must be
+  // strictly ascending and still hold every bulk-loaded key.
+  const std::vector<Key> writes{15, 25, 35, 45, 55, 12, 22, 65, 61};
+  int kills = 0;
+  for (std::uint64_t step = 1;; ++step) {
+    device::DeviceMemory mem;
+    GfslConfig cfg;
+    cfg.team_size = 8;
+    cfg.pool_chunks = 256;
+    sched::StepScheduler sched(sched::StepScheduler::Mode::Deterministic, 1,
+                               1);
+    Gfsl sl(cfg, &mem, &sched);
+    std::vector<std::pair<Key, Value>> base;
+    for (Key k = 10; k <= 60; k += 10) base.emplace_back(k, k);
+    sl.bulk_load(base);
+
+    sched.kill_at(0, step);
+    Team writer(8, 0, 3);
+    sched.enter(0);
+    bool killed = false;
+    try {
+      for (const Key k : writes) sl.insert(writer, k, k);
+      sched.leave(0);
+    } catch (const sched::TeamKilled&) {
+      killed = true;
+    }
+    if (!killed) break;  // the kill step lies past the last op
+    ++kills;
+
+    Team reader(8, 1, 4);  // not a participant: runs free
+    std::vector<std::pair<Key, Value>> out;
+    sl.scan(reader, 1, 1'000, out);
+    std::string keys;
+    for (const auto& kv : out) keys += " " + std::to_string(kv.first);
+    for (std::size_t i = 1; i < out.size(); ++i) {
+      ASSERT_LT(out[i - 1].first, out[i].first)
+          << "killed at step " << step << ":" << keys;
+    }
+    for (Key k = 10; k <= 60; k += 10) {
+      ASSERT_TRUE(std::any_of(out.begin(), out.end(),
+                              [k](const auto& kv) { return kv.first == k; }))
+          << "killed at step " << step << " lost " << k << ":" << keys;
+    }
+  }
+  EXPECT_GT(kills, 100);
 }
 
 }  // namespace
