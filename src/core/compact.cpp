@@ -5,11 +5,18 @@
 // Runs host-side at quiescence: collects the live bottom-level pairs, resets
 // the pool, and rebuilds a dense structure with every chunk filled to a
 // target factor and exactly one key raised per chunk (the ideal p_chunk = 1
-// shape, §3).  All zombie and stale chunks are reclaimed.
+// shape, §3).  All zombie and stale chunks are reclaimed.  The layout also
+// publishes the foresight table it implies (DESIGN.md §14), so no bottom
+// walk has to rediscover it.
 #include "core/gfsl.h"
 
 #include <algorithm>
 #include <new>
+#include <optional>
+#include <stdexcept>
+#include <string>
+
+#include "core/foresight.h"
 
 namespace gfsl::core {
 
@@ -37,8 +44,22 @@ void Gfsl::compact() {
 }
 
 void Gfsl::bulk_load(const std::vector<std::pair<Key, Value>>& pairs) {
+  // The reset frees every index at once: a retired chunk left in limbo
+  // would later be recycled out from under the new layout.
+  if (epochs_ != nullptr) {
+    std::vector<ChunkRef> discard;
+    epochs_->drain_all(&discard);
+  }
   arena_.reset();
-  rebuild(pairs);
+  try {
+    rebuild(pairs);
+  } catch (const std::invalid_argument&) {
+    // The layout stopped at the first bad key: drop what it wrote and leave
+    // the empty structure a fresh construction would have.
+    arena_.reset();
+    rebuild({});
+    throw;
+  }
 }
 
 void Gfsl::rebuild(const std::vector<std::pair<Key, Value>>& pairs) {
@@ -57,7 +78,8 @@ void Gfsl::rebuild(const std::vector<std::pair<Key, Value>>& pairs) {
     snaps_->reset();
   }
   // Chunk refs are reassigned wholesale: every published hint is garbage.
-  // Unpublish now; the first operation after the rebuild republishes.
+  // Unpublish now; the rebuild's last step publishes the new layout's table
+  // (a throw before it leaves the lazy walk to republish).
   if (foresight_ != nullptr) foresight_->invalidate_all();
   // Recreate the per-level head chunks exactly as construction does.
   ChunkRef below = NULL_CHUNK;
@@ -80,24 +102,51 @@ void Gfsl::rebuild(const std::vector<std::pair<Key, Value>>& pairs) {
   // splits and deletes without immediate merges.
   const int fill = std::max(1, arena_.dsize() * 3 / 4);
 
+  // The foresight table of this layout, offered chunk by chunk as level 0
+  // is written: the head covers keys above -inf, and each data chunk the
+  // keys above its predecessor's max — the bound the walk would read.
+  // Reading those bounds back from the input afterwards cost ~6 ms of cache
+  // misses at 4M pairs.
+  std::optional<ForesightIndex::Sampler> sample;
+  if (foresight_ != nullptr) {
+    sample.emplace(*foresight_,
+                   pairs.size() / static_cast<std::size_t>(fill) + 2);
+    const ChunkRef head = head_[0].load(std::memory_order_relaxed);
+    sample->offer(KEY_NEG_INF, head, arena_.generation(head));
+  }
+
   // Lay `entries` (values are user values at level 0 and chunk references
   // above) out as `level`'s data chunks after its head; returns the first
   // key and ref of every chunk made — the entries of the level above.
-  // Level 0 reads `pairs` in place, so no copy of the input is ever made.
+  // Level 0 reads `pairs` in place, so no copy of the input is ever made,
+  // and checks them on the way: every key a user key strictly above its
+  // predecessor (upper levels hold level-0 keys, so they pass by
+  // construction).
   using Entries = std::vector<std::pair<Key, Value>>;
   auto fill_level = [&](int level, const Entries& entries) {
     ChunkRef tail = head_[static_cast<std::size_t>(level)].load(
         std::memory_order_relaxed);
     Entries raised;
+    Key prev = KEY_NEG_INF;
     for (std::size_t at = 0; at < entries.size(); at += fill) {
       const std::size_t n = std::min<std::size_t>(fill, entries.size() - at);
       const ChunkRef ch = arena_.alloc_locked();
       if (ch == NULL_CHUNK) throw std::bad_alloc();
       set_chunk_level(ch, level);
+      // Hoisted: an atomic store makes the compiler reload the arena's
+      // fields on every entry, which cost as much as the key check.
+      std::atomic<KV>* slot = arena_.entries(ch);
+      const std::pair<Key, Value>* in = entries.data() + at;
       for (std::size_t i = 0; i < n; ++i) {
-        arena_.entry(ch, static_cast<int>(i))
-            .store(make_kv(entries[at + i].first, entries[at + i].second),
-                   std::memory_order_relaxed);
+        const Key k = in[i].first;
+        if (k <= prev || k > MAX_USER_KEY) {
+          throw std::invalid_argument(
+              "bulk_load: key " + std::to_string(k) + " of pair " +
+              std::to_string(at + i) +
+              " is not a user key above its predecessor");
+        }
+        prev = k;
+        slot[i].store(make_kv(k, in[i].second), std::memory_order_relaxed);
       }
       const bool is_final = (at + n >= entries.size());
       const Key max_key = is_final ? KEY_INF : entries[at + n - 1].first;
@@ -118,6 +167,9 @@ void Gfsl::rebuild(const std::vector<std::pair<Key, Value>>& pairs) {
                                : next_entry_max(tail_next);
       arena_.entry(tail, arena_.next_slot())
           .store(make_next_entry(tail_max, ch), std::memory_order_relaxed);
+      if (level == 0 && sample) {
+        sample->offer(tail_max, ch, arena_.generation(ch));
+      }
 
       raised.emplace_back(entries[at].first, static_cast<Value>(ch));
       tail = ch;
@@ -135,6 +187,13 @@ void Gfsl::rebuild(const std::vector<std::pair<Key, Value>>& pairs) {
   // Every chunk above was published unlocked by direct stores, not through
   // unlock(): give the rebuilt structure its integrity baseline.
   reseal_all();
+
+  // Publish last, so a throw anywhere above leaves the table unpublished.
+  // Nothing here throws while the claim is held.
+  if (sample && foresight_->claim_rebuild()) {
+    foresight_->publish(sample->hints());
+    foresight_->release_rebuild();
+  }
 }
 
 }  // namespace gfsl::core

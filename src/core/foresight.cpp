@@ -1,5 +1,6 @@
 // Foresight hint index (DESIGN.md §14): the table itself plus the Gfsl
 // integration — hinted operation starts and the lazy, epoch-pinned rebuild.
+// The quiescent rebuild's publish lives with the layout (compact.cpp).
 #include "core/foresight.h"
 
 #include "core/gfsl.h"
@@ -18,6 +19,25 @@ ForesightIndex::ForesightIndex(std::uint32_t pool_chunks, std::uint32_t stride,
     slots_[t] = std::make_unique<std::atomic<KV>[]>(cap_);
     gens_[t] = std::make_unique<std::atomic<std::uint32_t>[]>(cap_);
     counts_[t].store(0, std::memory_order_relaxed);
+  }
+}
+
+ForesightIndex::Sampler::Sampler(const ForesightIndex& index,
+                                 std::size_t chunks)
+    : stride_(index.stride()) {
+  hints_.reserve(chunks / stride_ + 2);
+}
+
+void ForesightIndex::Sampler::offer(Key lo, ChunkRef ref, std::uint32_t gen) {
+  if (skip_ != 0) {
+    --skip_;
+    return;
+  }
+  skip_ = stride_ - 1;
+  if (!hints_.empty() && hints_.back().lo == lo) {
+    hints_.back() = {lo, ref, gen};
+  } else {
+    hints_.push_back({lo, ref, gen});
   }
 }
 
@@ -130,9 +150,10 @@ bool Gfsl::foresight_start(Team& team, Key k, Guarded* out) {
 }
 
 void Gfsl::foresight_prime(Team& team) {
-  if (foresight_ == nullptr) return;
-  // Quiescent warm-up: run the lazy rebuild now (the version starts odd, so
-  // rebuild_due() holds on a fresh index) instead of letting the first
+  // compact / bulk_load leave their own table published: nothing is due.
+  if (foresight_ == nullptr || !foresight_->rebuild_due()) return;
+  // Quiescent warm-up of a structure built by operations (the version
+  // starts odd): run the lazy rebuild now instead of letting the first
   // measured operation pay the bottom-level walk while its peers fall back
   // to classic descents against an unpublished table.
   EpochScope epoch(*this, team);
@@ -151,17 +172,13 @@ void Gfsl::foresight_maybe_rebuild(Team& team) {
   } guard{foresight_};
 
   // Walk the bottom level left to right under the caller's epoch pin,
-  // sampling one live chunk per stride.  Every ref is acquired from a
+  // offering every live chunk to the sampler.  Every ref is acquired from a
   // validated read (or the head), so the walk is as safe as any lateral
   // traversal; any staleness abandons the rebuild — the next operation
   // retries.
-  std::vector<ForesightIndex::Hint> hints;
-  hints.reserve(foresight_->stride() == 0
-                    ? 16
-                    : arena_.high_water() / foresight_->stride() + 2);
+  ForesightIndex::Sampler sample(*foresight_, arena_.high_water());
   Key lo = KEY_NEG_INF;
   std::uint64_t visited = 0;
-  std::uint64_t live_seen = 0;
   Guarded cur = guard_ref(head_of(team, 0));
   while (cur.ref != NULL_CHUNK) {
     if (++visited > static_cast<std::uint64_t>(arena_.capacity()) + 1) return;
@@ -170,23 +187,12 @@ void Gfsl::foresight_maybe_rebuild(Team& team) {
     if (stale) return;  // abandoned; version stays odd, all lookups miss
     const Key mx = max_of(team, kv);
     const ChunkRef nxt = next_of(team, kv);
-    if (!is_zombie(team, kv)) {
-      if (live_seen % foresight_->stride() == 0) {
-        if (!hints.empty() && hints.back().lo == lo) {
-          // Duplicate bound (the head's max can collapse to -inf): keep the
-          // rightmost chunk — still at-or-left for every key above lo.
-          hints.back() = {lo, cur.ref, cur.gen};
-        } else {
-          hints.push_back({lo, cur.ref, cur.gen});
-        }
-      }
-      ++live_seen;
-    }
+    if (!is_zombie(team, kv)) sample.offer(lo, cur.ref, cur.gen);
     lo = mx;
     if (mx == KEY_INF || nxt == NULL_CHUNK) break;
     cur = guard_ref(nxt);
   }
-  foresight_->publish(hints);
+  foresight_->publish(sample.hints());
   team.metric(obs::kForesightRebuilds);
 }
 

@@ -32,11 +32,14 @@
 // word: readers run entirely on the active table (atomic relaxed element
 // loads, version re-check after the search), a single claimed rebuilder
 // fills the inactive table and flips version odd -> swap -> even with plain
-// release stores.  The version starts odd (nothing published), is driven
-// odd by invalidate_all() (compact / bulk_load / recover), and stays odd
-// if a rebuild is abandoned mid-walk — a scheduler kill inside a rebuild
-// leaves every lookup missing (fallback) until the next successful publish,
-// which is exactly the safe direction.
+// release stores.  Two builders publish, both through one Sampler: the
+// quiescent layout of compact / bulk_load samples the chunks it has just
+// written, and the lazy walk samples the live bottom level.  The version
+// starts odd (nothing published), is driven odd by invalidate_all() (every
+// rebuild of the pool, and recover, which publishes nothing), and stays odd
+// if a walk is abandoned — a scheduler kill inside a rebuild leaves every
+// lookup missing (fallback) until the next successful publish, which is
+// exactly the safe direction.
 #pragma once
 
 #include <atomic>
@@ -56,6 +59,26 @@ class ForesightIndex {
     Key lo = KEY_NEG_INF;  // exclusive lower coverage bound at publication
     ChunkRef ref = NULL_CHUNK;
     std::uint32_t gen = 0;
+  };
+
+  /// The sampling rule every table builder applies.  Builders offer the
+  /// bottom level's live chunks left to right, head first, each with the
+  /// exclusive lower bound it covers (its predecessor's max); every
+  /// stride-th offer is kept.  A kept chunk whose bound equals the previous
+  /// kept one's replaces it, since the rightmost is still at-or-left for
+  /// every key above that bound (the head's max is -inf once a data chunk
+  /// follows it, so the first data chunk shares the head's bound).
+  class Sampler {
+   public:
+    /// `chunks` bounds the number of offers (sizes the table once).
+    Sampler(const ForesightIndex& index, std::size_t chunks);
+    void offer(Key lo, ChunkRef ref, std::uint32_t gen);
+    const std::vector<Hint>& hints() const { return hints_; }
+
+   private:
+    std::uint32_t stride_;
+    std::uint32_t skip_ = 0;  // offers to pass over before the next kept one
+    std::vector<Hint> hints_;
   };
 
   /// `pool_chunks` bounds the table size (one hint per `stride` bottom
@@ -83,7 +106,7 @@ class ForesightIndex {
 
   /// Quiescent structural replacement (compact / bulk_load / recover): every
   /// published hint is garbage.  Drives the version odd so all lookups miss
-  /// until the next publish.
+  /// until the next publish (a rebuild's own, or the lazy walk's).
   void invalidate_all();
 
   /// True when the next operation should rebuild: nothing is published (or
@@ -103,9 +126,9 @@ class ForesightIndex {
   bool claim_rebuild();
   void release_rebuild() { rebuilding_.store(false, std::memory_order_release); }
 
-  /// Publish `hints` (ascending lo, duplicates collapsed by the builder) as
-  /// the new active table.  Only the claimed rebuilder may call this; the
-  /// old table keeps serving readers until the atomic swap.
+  /// Publish `hints` (a Sampler's output: ascending lo, duplicates
+  /// collapsed) as the new active table.  Only the claimed rebuilder may
+  /// call this; the old table keeps serving readers until the atomic swap.
   void publish(const std::vector<Hint>& hints);
 
   // --- introspection ---------------------------------------------------------

@@ -266,12 +266,17 @@ class Gfsl {
 
   /// Between-kernel compaction (the thesis's future-work reclamation scheme,
   /// §4.1): rebuilds the structure densely into the start of the pool,
-  /// discarding zombies and reclaiming all chunk memory.  Quiescent only.
+  /// discarding zombies and reclaiming all chunk memory, and publishes the
+  /// foresight table of the new layout.  Quiescent only.
   void compact();
 
-  /// Host-side bulk construction from sorted, distinct pairs (the untimed
-  /// initial-structure setup of §5.1).  Replaces the current contents.
-  /// Quiescent only.
+  /// Host-side bulk construction (the untimed initial-structure setup of
+  /// §5.1).  Replaces the current contents (chunks still in epoch limbo go
+  /// with them) and publishes the foresight table of the new layout.
+  /// Every key must be a user key ([MIN_USER_KEY, MAX_USER_KEY]) strictly
+  /// above the one before it; otherwise throws std::invalid_argument and
+  /// leaves the structure empty and valid.  The check rides the layout
+  /// loop: no extra pass over the input.  Quiescent only.
   void bulk_load(const std::vector<std::pair<Key, Value>>& sorted_pairs);
 
  private:
@@ -279,7 +284,11 @@ class Gfsl {
   /// the arena can allocate.  compact() with an EpochManager recycles every
   /// in-use chunk first and rebuilds through the free-list, so generation
   /// stamps survive (a reset would forget which indices parked readers may
-  /// still compare against).
+  /// still compare against).  Its last step publishes the foresight table
+  /// the lazy walk would sample from the new layout (same refs, stamps and
+  /// bounds, offered to ForesightIndex::Sampler as level 0 is laid out).
+  /// Throws std::invalid_argument at the first key that is not a user key
+  /// above its predecessor, with the table still unpublished.
   void rebuild(const std::vector<std::pair<Key, Value>>& sorted_pairs);
 
  public:
@@ -319,9 +328,11 @@ class Gfsl {
   /// bulk_load, compact, recover).  No-op without a sidecar.
   void reseal_all();
 
-  /// Build and publish the foresight hint table now (quiescent; e.g. right
-  /// after bulk_load) so measured traffic starts hinted instead of paying
-  /// the lazy first rebuild mid-run.  No-op when no index is attached.
+  /// Build and publish the foresight hint table now, if one is due
+  /// (quiescent), so measured traffic starts hinted instead of paying the
+  /// lazy first rebuild mid-run.  Serves structures built by operations or
+  /// left unpublished by recover(); after compact() or bulk_load() nothing
+  /// is due and it returns at once.  No-op when no index is attached.
   void foresight_prime(simt::Team& team);
 
   /// Whole-process restart recovery (persist_recovery.cpp; DESIGN.md §12).
@@ -467,8 +478,9 @@ class Gfsl {
   bool foresight_start(simt::Team& team, Key k, Guarded* out);
   /// Republish the hint table when due (never published, invalidated, or
   /// past the dirty-event threshold): claim the single-writer flag, walk the
-  /// bottom level under the caller's epoch pin sampling one live chunk per
-  /// stride, and atomically swap the double-buffered table.  Abandons on any
+  /// bottom level under the caller's epoch pin offering each live chunk to
+  /// ForesightIndex::Sampler, and atomically swap the double-buffered
+  /// table.  Abandons on any
   /// stale read or scheduler kill — lookups keep missing until a later
   /// rebuild succeeds.
   void foresight_maybe_rebuild(simt::Team& team);

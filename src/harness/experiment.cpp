@@ -210,15 +210,7 @@ Measurement measure_gfsl(const WorkloadConfig& wl,
   core::Gfsl& sl = stack.gfsl();
   device::DeviceMemory& mem = stack.mem();
 
-  sl.bulk_load(generate_prefill(wl));
-  if (setup.foresight) {
-    // Prime the hint table quiescently so measured traffic starts hinted
-    // instead of paying the lazy first rebuild (and its peers' classic
-    // fallback descents) inside the timed window.
-    simt::Team primer(sl.team_size(), setup.num_workers,
-                      derive_seed(wl.seed, 0xF0E5));
-    sl.foresight_prime(primer);
-  }
+  sl.bulk_load(generate_prefill(wl));  // publishes the foresight table too
 
   RunConfig rc;
   rc.num_workers = setup.num_workers;

@@ -1,17 +1,19 @@
 // Foresight hint index (core/foresight.{h,cpp}; DESIGN.md §14): differential
 // oracle equivalence of the attached vs detached paths, the per-consult
 // hit/fallback accounting invariant, staleness-adversarial churn (merge
-// zombies, recycled-chunk generation bumps, compact invalidation) between
-// hint publication and use, the fresh-hint traversal bound, and the A/B
-// determinism contract — a Gfsl constructed *without* a ForesightIndex runs
-// the seed code path, and attaching one must not change any operation's
-// result or the final contents.
+// zombies, recycled-chunk generation bumps, compact's republish) between
+// hint publication and use, the layout-published table against the walk's,
+// the fresh-hint traversal bound, and the A/B determinism contract — a Gfsl
+// constructed *without* a ForesightIndex runs the seed code path, and
+// attaching one must not change any operation's result or the final
+// contents.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -443,7 +445,7 @@ TEST(ForesightStaleness, RecycledChunkGenerationBumpFallsBack) {
   EXPECT_TRUE(rep.ok) << rep.error;
 }
 
-TEST(ForesightStaleness, CompactInvalidatesAndTheNextOpRepublishes) {
+TEST(ForesightStaleness, CompactRepublishesFromItsLayout) {
   device::DeviceMemory mem;
   device::EpochManager epochs;
   ForesightIndex foresight(1u << 12, /*stride=*/1, kNeverRepublish);
@@ -457,11 +459,21 @@ TEST(ForesightStaleness, CompactInvalidatesAndTheNextOpRepublishes) {
   sl.foresight_prime(team);
   ASSERT_EQ(foresight.rebuilds(), 1u);
 
-  // Quiescent structural replacement: every published ref is garbage, so
-  // compact must unpublish (rebuild_due again) rather than leave a table
-  // whose gen-consistent entries point into a rebuilt pool.
+  // Quiescent structural replacement: every ref of the old table is garbage
+  // in the rebuilt pool, so compact must replace the table with its own
+  // layout's before any operation can consult it.
   sl.compact();
-  ASSERT_TRUE(foresight.rebuild_due());
+  ASSERT_EQ(foresight.rebuilds(), 2u);
+  ASSERT_FALSE(foresight.rebuild_due());
+
+  // No stale hint survived: every published ref carries the stamp its chunk
+  // holds in the rebuilt pool.
+  for (Key k = 1; k <= 801; ++k) {
+    ChunkRef ref = NULL_CHUNK;
+    std::uint32_t gen = 0;
+    ASSERT_TRUE(foresight.lookup(k, &ref, &gen)) << "key " << k;
+    ASSERT_EQ(gen, sl.arena().generation(ref)) << "key " << k;
+  }
 
   obs::MetricsShard shard;
   team.set_metrics(&shard);
@@ -470,12 +482,100 @@ TEST(ForesightStaleness, CompactInvalidatesAndTheNextOpRepublishes) {
   }
   team.set_metrics(nullptr);
 
-  // The first consult after the invalidate republishes under its epoch pin;
-  // later consults run hinted against the fresh table.
+  // Every consult ran hinted against the compacted layout's table; none
+  // republished it.
+  EXPECT_EQ(shard.counter(obs::kForesightHits), 200u);
+  EXPECT_EQ(shard.counter(obs::kForesightFallbacks), 0u);
+  EXPECT_EQ(shard.counter(obs::kForesightStaleHints), 0u);
+  EXPECT_EQ(shard.counter(obs::kForesightRebuilds), 0u);
   EXPECT_EQ(foresight.rebuilds(), 2u);
-  EXPECT_EQ(shard.counter(obs::kForesightRebuilds), 1u);
-  EXPECT_GT(shard.counter(obs::kForesightHits), 0u);
   EXPECT_EQ(sl.collect(), ascending_pairs(1, 800));
+}
+
+// ---------------------------------------------------------------------------
+// Publication from the layout: compact and bulk_load publish the table the
+// lazy bottom-level walk would sample from the chunks they just wrote.
+
+// lookup()'s answer for every key in [0, last]: found, ref, gen.
+struct Answer {
+  bool found = false;
+  ChunkRef ref = NULL_CHUNK;
+  std::uint32_t gen = 0;
+  bool operator==(const Answer&) const = default;
+};
+
+std::vector<Answer> answers(const ForesightIndex& f, Key last) {
+  std::vector<Answer> out(static_cast<std::size_t>(last) + 1);
+  for (Key k = 0; k <= last; ++k) {
+    Answer& a = out[k];
+    a.found = f.lookup(k, &a.ref, &a.gen);
+  }
+  return out;
+}
+
+// The published table's answers, then the walk's over the same structure.
+void expect_layout_table_is_walk_table(Gfsl& sl, ForesightIndex& f,
+                                       Team& team, Key last,
+                                       const std::string& where) {
+  ASSERT_FALSE(f.rebuild_due()) << where << ": nothing published";
+  const std::vector<Answer> layout = answers(f, last);
+  const std::uint64_t published = f.rebuilds();
+  f.invalidate_all();
+  sl.foresight_prime(team);
+  ASSERT_EQ(f.rebuilds(), published + 1) << where << ": the walk did not run";
+  const std::vector<Answer> walk = answers(f, last);
+  for (Key k = 0; k <= last; ++k) {
+    ASSERT_EQ(layout[k], walk[k])
+        << where << ": key " << k << " layout {" << layout[k].found << ", "
+        << layout[k].ref << ", " << layout[k].gen << "} walk {"
+        << walk[k].found << ", " << walk[k].ref << ", " << walk[k].gen << "}";
+  }
+}
+
+TEST(ForesightPublish, RebuildPublishesTheWalksTable) {
+  for (const int team_size : {8, 16, 32}) {
+    const std::size_t fill = static_cast<std::size_t>((team_size - 2) * 3 / 4);
+    // ~150K keys: each of [1, 600K] with probability 1/4.
+    Pairs random;
+    Xoshiro256ss rng(derive_seed(0x1A7, static_cast<std::uint64_t>(team_size)));
+    for (Key k = 1; k <= 600'000; ++k) {
+      if (rng.below(4) == 0) random.emplace_back(k, value_of(k));
+    }
+    const std::vector<std::pair<const char*, Pairs>> inputs = {
+        {"empty", {}},
+        {"one key", ascending_pairs(7, 7)},
+        {"one chunk's fill", ascending_pairs(1, static_cast<Key>(fill))},
+        {"fill + 1", ascending_pairs(1, static_cast<Key>(fill + 1))},
+        {"150K random", random},
+    };
+    for (const std::uint32_t stride : {1u, 2u, 3u, 7u}) {
+      for (const auto& [name, pairs] : inputs) {
+        const std::string where = "team " + std::to_string(team_size) +
+                                  ", stride " + std::to_string(stride) +
+                                  ", " + name;
+        const Key last = (pairs.empty() ? 0 : pairs.back().first) + 2;
+        GfslConfig cfg;
+        cfg.team_size = team_size;
+        cfg.pool_chunks = 1u << 16;
+        device::DeviceMemory mem;
+        device::EpochManager epochs;
+        ForesightIndex foresight(cfg.pool_chunks, stride, kNeverRepublish);
+        Gfsl sl(cfg, &mem, nullptr, nullptr, &epochs, nullptr, nullptr,
+                &foresight);
+        Team team(team_size, 0, 5);
+
+        sl.bulk_load(pairs);
+        ASSERT_NO_FATAL_FAILURE(expect_layout_table_is_walk_table(
+            sl, foresight, team, last, where + ", bulk_load"));
+        // With epochs, compact recycles every chunk and rebuilds through
+        // the LIFO free-list: new refs, bumped stamps.
+        sl.compact();
+        ASSERT_NO_FATAL_FAILURE(expect_layout_table_is_walk_table(
+            sl, foresight, team, last, where + ", compact"));
+        ASSERT_EQ(sl.collect(), pairs) << where;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
