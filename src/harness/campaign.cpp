@@ -430,48 +430,31 @@ ChurnOutcome run_churn(const ChurnParams& p, bool with_epochs, Table* t) {
   double kops_sum = 0.0;
 
   for (std::uint64_t s = 0; s < p.slices; ++s) {
-    std::atomic<int> oom{0};
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> threads;
-    for (int w = 0; w < p.workers; ++w) {
-      threads.emplace_back([&, w] {
-        simt::Team team(p.team_size, w, 3);
-        Xoshiro256ss rng(derive_seed(p.seed + s, static_cast<std::uint64_t>(w)));
-        const std::uint64_t n =
-            p.ops_per_slice / static_cast<std::uint64_t>(p.workers);
-        try {
-          for (std::uint64_t i = 0; i < n; ++i) {
-            const Key k = 1 + static_cast<Key>(rng.below(p.key_range));
-            if (rng.below(2) == 0) {
-              sl.insert(team, k, k);
-            } else {
-              sl.erase(team, k);
-            }
-          }
-        } catch (const std::bad_alloc&) {
-          oom.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-    const double sec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    const double kops = static_cast<double>(p.ops_per_slice) / sec / 1e3;
+    WorkloadConfig wl;
+    wl.mix = kMix_50_50_0;
+    wl.key_range = p.key_range;
+    wl.num_ops = p.ops_per_slice;
+    wl.seed = p.seed + s;
+    RunConfig rc;
+    rc.num_workers = p.workers;
+    rc.seed = 3;
+    const RunResult run = run_gfsl(sl, generate_ops(wl), rc, stack.mem());
+    const double kops =
+        static_cast<double>(p.ops_per_slice) / run.sim_wall_seconds / 1e3;
 
     t->add_row({mode, std::to_string(s + 1), fmt(kops),
                 std::to_string(sl.chunks_allocated()),
                 std::to_string(with_epochs ? sl.epochs()->limbo_total() : 0),
                 std::to_string(sl.arena().free_count()),
                 std::to_string(sl.chunks_reclaimed()),
-                oom.load() != 0 ? "POOL EXHAUSTED" : ""});
+                run.out_of_memory ? "POOL EXHAUSTED" : ""});
     kops_sum += kops;
     out.slices_survived = s + 1;
     out.final_in_use = sl.chunks_allocated();
     out.final_limbo = with_epochs ? sl.epochs()->limbo_total() : 0;
     out.final_free = sl.arena().free_count();
     out.reclaimed = sl.chunks_reclaimed();
-    if (oom.load() != 0) break;  // leaking mode: no point continuing
+    if (run.out_of_memory) break;  // leaking mode: no point continuing
   }
   out.host_kops =
       out.slices_survived ? kops_sum / static_cast<double>(out.slices_survived)
@@ -833,35 +816,20 @@ ScanMixedOutcome run_scan_mixed_once(const ScanMixedParams& p, bool mvcc) {
     }
   });
 
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  for (int w = 0; w < p.workers; ++w) {
-    threads.emplace_back([&, w] {
-      simt::Team team(p.team_size, w, 3);
-      Xoshiro256ss rng(derive_seed(p.seed, static_cast<std::uint64_t>(w)));
-      const std::uint64_t n = p.ops / static_cast<std::uint64_t>(p.workers);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        const Key k = 1 + static_cast<Key>(rng.below(p.key_range));
-        const auto roll = rng.below(100);
-        if (roll < 40) {
-          sl.insert(team, k, k);
-        } else if (roll < 80) {
-          sl.erase(team, k);
-        } else {
-          (void)sl.contains(team, k);
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  const double sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  WorkloadConfig wl;
+  wl.mix = Mix{40, 40, 20};
+  wl.key_range = p.key_range;
+  wl.num_ops = p.ops;
+  wl.seed = p.seed;
+  RunConfig rc;
+  rc.num_workers = p.workers;
+  rc.seed = 3;
+  const RunResult run = run_gfsl(sl, generate_ops(wl), rc, stack.mem());
   done.store(true, std::memory_order_release);
   scanner.join();
 
   ScanMixedOutcome out;
-  out.mut_kops = static_cast<double>(p.ops) / sec / 1e3;
+  out.mut_kops = static_cast<double>(p.ops) / run.sim_wall_seconds / 1e3;
   out.scans = static_cast<double>(scans.load());
   out.keys_per_scan =
       scans.load() ? static_cast<double>(keys.load()) /

@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "common/types.h"
 #include "harness/postmortem.h"
+#include "harness/runner.h"
 #include "harness/stack.h"
 #include "harness/workload.h"
 #include "simt/team.h"
@@ -36,26 +37,6 @@ std::string repro(FaultSection s, FaultKind k, std::uint64_t seed) {
   return std::string("--corrupt ") + device::fault_section_name(s) + ":" +
          device::fault_kind_name(k) + ":" + std::to_string(seed);
 }
-
-// Sequential reference model.  tests/oracle.h stays test-local; the map is
-// a few lines and this keeps the harness library free of tests/ includes.
-struct Model {
-  std::map<Key, Value> m;
-  bool apply(const Op& op) {
-    switch (op.kind) {
-      case OpKind::Insert:
-        return m.emplace(op.key, op.value).second;
-      case OpKind::Delete:
-        return m.erase(op.key) > 0;
-      case OpKind::Contains:
-        return m.count(op.key) > 0;
-    }
-    return false;
-  }
-  std::vector<std::pair<Key, Value>> collect() const {
-    return {m.begin(), m.end()};
-  }
-};
 
 struct CellCtx {
   const CorruptSweepConfig* cfg = nullptr;
@@ -90,32 +71,31 @@ bool fail_cell(CellCtx& c, const std::string& what, const Gfsl* sl = nullptr) {
   return false;
 }
 
-/// Drive the seeded reference workload through `sl` with a single team,
-/// checking every outcome against the model as it goes.  Single-team runs
-/// are sequential, so any divergence here is a harness bug, not corruption.
-bool drive(Gfsl& sl, simt::Team& team, Model& model, std::uint64_t ops,
+/// Drive the seeded reference workload through the stack's structure with a
+/// single team, then check every outcome against the model.  Single-team runs are
+/// sequential, so any divergence here is a harness bug, not corruption.
+bool drive(GfslStack& stack, MapOracle& model, std::uint64_t ops,
            std::uint64_t range, std::uint64_t seed, std::string* err) {
   WorkloadConfig wl;
   wl.mix = kMix_20_20_60;  // update-heavy: deep version chains, busy chunks
   wl.key_range = range;
   wl.num_ops = ops;
   wl.seed = seed;
-  for (const Op& op : generate_ops(wl)) {
-    bool got = false;
-    switch (op.kind) {
-      case OpKind::Insert:
-        got = sl.insert(team, op.key, op.value);
-        break;
-      case OpKind::Delete:
-        got = sl.erase(team, op.key);
-        break;
-      case OpKind::Contains:
-        got = sl.contains(team, op.key);
-        break;
-    }
-    if (got != model.apply(op)) {
+  const auto op_array = generate_ops(wl);
+  std::vector<std::uint8_t> got;
+  RunConfig rc;
+  rc.num_workers = 1;
+  rc.seed = 3;
+  rc.results = &got;
+  if (run_gfsl(stack.gfsl(), op_array, rc, stack.mem()).out_of_memory) {
+    *err = "pre-injection workload exhausted the pool";
+    return false;
+  }
+  const auto want = model.apply_batch(op_array);
+  for (std::size_t i = 0; i < op_array.size(); ++i) {
+    if (got[i] != want[i]) {
       *err = "pre-injection workload diverged from the model at key " +
-             std::to_string(op.key);
+             std::to_string(op_array[i].key);
       return false;
     }
   }
@@ -132,14 +112,14 @@ bool key_in_ranges(Key k, const std::vector<core::LostRange>& lost) {
 /// Exact-or-reported contents check: every surviving key must carry the
 /// model's value (anything else is a silent wrong answer) and every missing
 /// key must fall inside a reported blast radius.
-bool check_contents(Gfsl& sl, const Model& model,
+bool check_contents(Gfsl& sl, const MapOracle& model,
                     const std::vector<core::LostRange>& lost,
                     std::uint64_t* keys_lost, std::string* err) {
   const auto actual = sl.collect();
   std::map<Key, Value> am(actual.begin(), actual.end());
   for (const auto& [k, v] : am) {
-    const auto it = model.m.find(k);
-    if (it == model.m.end()) {
+    const auto it = model.state().find(k);
+    if (it == model.state().end()) {
       *err = "silent corruption: key " + std::to_string(k) +
              " present but never inserted";
       return false;
@@ -151,7 +131,7 @@ bool check_contents(Gfsl& sl, const Model& model,
       return false;
     }
   }
-  for (const auto& [k, v] : model.m) {
+  for (const auto& [k, v] : model.state()) {
     (void)v;
     if (am.count(k) != 0) continue;
     if (!key_in_ranges(k, lost)) {
@@ -177,10 +157,9 @@ bool run_chunk_cell(CellCtx& c) {
   GfslStack stack(gfsl_config(cfg), so);
   Gfsl& sl = stack.gfsl();
   const core::IntegritySidecar& integrity = *sl.integrity();
-  simt::Team team(cfg.team_size, 0, 3);
-  Model model;
+  MapOracle model;
   std::string err;
-  if (!drive(sl, team, model, cfg.ops, cfg.key_range,
+  if (!drive(stack, model, cfg.ops, cfg.key_range,
              derive_seed(cfg.base_seed, c.seed), &err)) {
     return fail_cell(c, err, &sl);
   }
@@ -252,10 +231,11 @@ bool run_chunk_cell(CellCtx& c) {
   }
   // Post-resolution point reads across the whole key space: the repaired
   // structure must answer exactly like the model, modulo the reported radii.
+  simt::Team team(cfg.team_size, 0, 3);
   for (std::uint64_t k = 1; k <= cfg.key_range; ++k) {
     const Key key = static_cast<Key>(k);
     const bool got = sl.contains(team, key);
-    const bool want = model.m.count(key) != 0;
+    const bool want = model.state().count(key) != 0;
     if (got == want) continue;
     if (got) {
       return fail_cell(
@@ -282,16 +262,14 @@ bool run_region_cell(CellCtx& c) {
   std::remove(path.c_str());
   StackOptions so;
   so.persist_path = path;
-  Model model;
+  MapOracle model;
   {  // Phase 1: write a clean reference image.
     GfslStack stack(gfsl_config(cfg), so);
-    Gfsl& sl = stack.gfsl();
-    simt::Team team(cfg.team_size, 0, 3);
     std::string err;
-    if (!drive(sl, team, model, cfg.ops, cfg.key_range,
+    if (!drive(stack, model, cfg.ops, cfg.key_range,
                derive_seed(cfg.base_seed, c.seed ^ 0xD15Cu), &err)) {
       std::remove(path.c_str());
-      return fail_cell(c, err, &sl);
+      return fail_cell(c, err, &stack.gfsl());
     }
     stack.region()->mark_clean();
   }
@@ -362,7 +340,7 @@ bool run_dropped_barrier_cell(CellCtx& c) {
   std::remove(path.c_str());
   StackOptions so;
   so.persist_path = path;
-  Model model;
+  MapOracle model;
   bool cell_ok = true;
   std::string err;
   {  // Live run with 1..8 persist barriers silently dropped.  MAP_SHARED
@@ -374,9 +352,8 @@ bool run_dropped_barrier_cell(CellCtx& c) {
     // The constructor crosses no persist point: every armed drop lands in
     // the workload.
     stack.region()->attach_fault_plane(&plane);
-    simt::Team team(cfg.team_size, 0, 3);
     ++c.res->runs;
-    if (!drive(sl, team, model, cfg.ops, cfg.key_range,
+    if (!drive(stack, model, cfg.ops, cfg.key_range,
                derive_seed(cfg.base_seed, c.seed ^ 0xD20Bu), &err)) {
       cell_ok = false;
       fail_cell(c, err, &sl);

@@ -1,58 +1,14 @@
 #include "harness/crash_sweep.h"
 
-#include <atomic>
-#include <memory>
-#include <thread>
 #include <vector>
 
 #include "harness/history.h"
 #include "harness/postmortem.h"
+#include "harness/runner.h"
 #include "harness/stack.h"
 #include "harness/workload.h"
-#include "sched/batch_dispatch.h"
-#include "simt/trace.h"
 
 namespace gfsl::harness {
-
-namespace {
-
-// Bridges execute_shard's per-op hooks into the HistoryLog, and remembers the
-// in-flight op so a TeamKilled unwind can record it as crashed (optional in
-// the linearizability check — recovery may roll it either way).  An op
-// abandoned on pool exhaustion is logged the same way: it began but never
-// produced a response, so "optional" is exactly its contract.
-class HistoryObserver final : public core::BatchOpObserver {
- public:
-  HistoryObserver(HistoryLog& log, int worker) : log_(log), w_(worker) {}
-
-  void on_begin(std::uint32_t /*idx*/, const Op& op) override {
-    cur_ = &op;
-    tick_ = log_.begin_op();
-  }
-  void on_end(std::uint32_t /*idx*/, const Op& op, bool result) override {
-    log_.end_op(w_, tick_, op.kind, op.key, result);
-    cur_ = nullptr;
-  }
-  void on_skipped(std::uint32_t /*idx*/, const Op& op) override {
-    log_.crash_op(w_, tick_, op.kind, op.key);
-    cur_ = nullptr;
-  }
-
-  void record_crash() {
-    if (cur_ != nullptr) {
-      log_.crash_op(w_, tick_, cur_->kind, cur_->key);
-      cur_ = nullptr;
-    }
-  }
-
- private:
-  HistoryLog& log_;
-  int w_;
-  const Op* cur_ = nullptr;
-  std::uint64_t tick_ = 0;
-};
-
-}  // namespace
 
 CrashRunResult run_crash_at(const CrashSweepConfig& cfg,
                             std::uint64_t kill_step,
@@ -111,13 +67,8 @@ CrashRunResult run_crash_at(const CrashSweepConfig& cfg,
                  cfg.workers);
   // Flight recorder: clockless rings (no steady-clock read per record) for
   // every team plus the medic, armed only when a postmortem sink is set.
-  std::vector<std::unique_ptr<simt::TeamTrace>> rings;
-  if (!cfg.postmortem_dir.empty()) {
-    for (int w = 0; w <= cfg.workers; ++w) {
-      rings.push_back(
-          std::make_unique<simt::TeamTrace>(1024, /*timestamps=*/false));
-    }
-  }
+  obs::TraceSession rings(1024, /*timestamps=*/false);
+  if (!cfg.postmortem_dir.empty()) rings.ensure(cfg.workers + 1);
   auto dump_failure = [&](const std::string& reason, const std::string& detail,
                           const core::Gfsl* structure) {
     if (cfg.postmortem_dir.empty()) return;
@@ -126,7 +77,7 @@ CrashRunResult run_crash_at(const CrashSweepConfig& cfg,
     ctx.detail = detail;
     ctx.gfsl = structure;
     ctx.metrics = reg;
-    for (const auto& ring : rings) ctx.rings.push_back(ring.get());
+    for (int t = 0; t < rings.teams(); ++t) ctx.rings.push_back(rings.team(t));
     ctx.info = {
         {"harness", "crash_sweep"},
         {"wl_seed", std::to_string(cfg.wl_seed)},
@@ -151,76 +102,32 @@ CrashRunResult run_crash_at(const CrashSweepConfig& cfg,
                                  : std::to_string(kill_step));
     (void)dump_postmortem(cfg.postmortem_dir, stem, ctx);
   };
-  // Batched mode: the whole op array is one batch, planned once and drained
-  // through a shared stealing queue — same shape as run_gfsl_batched, but
-  // under the deterministic scheduler with a kill step armed.
-  sched::ShardPlan plan;
-  std::vector<std::uint8_t> outcomes;
+  // Per-op teams deal the op array round-robin; batched, the whole array is
+  // one launch, key-sorted, sharded and drained through a stealing queue.
+  // Either way the victim dies at the kill step, and the runner reports its
+  // op in flight to the history as crashed.
+  RunConfig rc;
+  rc.num_workers = cfg.workers;
+  rc.seed = 3;
+  rc.scheduler = &sched;
+  rc.metrics = reg;
+  if (!cfg.postmortem_dir.empty()) rc.trace = &rings;
+  rc.observers = log.observers();
   if (cfg.batched) {
-    plan = sched::plan_shards(ops, cfg.workers, cfg.batch_shard_ops);
-    outcomes.assign(ops.size(),
-                    static_cast<std::uint8_t>(core::BatchOpStatus::kSkipped));
+    (void)run_gfsl_batched(sl, ops, rc, stack.mem(),
+                           {.batch_size = 0,
+                            .target_shard_ops = cfg.batch_shard_ops});
+  } else {
+    (void)run_gfsl(sl, ops, rc, stack.mem());
   }
-  sched::ShardQueue queue(plan);
-
-  std::atomic<bool> hang{false};
-  std::atomic<bool> victim_killed{false};
-  std::vector<std::thread> threads;
-  for (int w = 0; w < cfg.workers; ++w) {
-    threads.emplace_back([&, w] {
-      simt::Team team(cfg.team_size, w, 3);
-      if (reg != nullptr) team.set_metrics(&reg->shard(w));
-      if (!rings.empty()) team.set_trace(rings[static_cast<std::size_t>(w)].get());
-      HistoryObserver observer(log, w);
-      const Op* cur_op = nullptr;
-      std::uint64_t cur_tick = 0;
-      sched.enter(w);
-      try {
-        if (cfg.batched) {
-          int s;
-          while ((s = queue.pop(w)) >= 0) {
-            const auto& shard = plan.shards[static_cast<std::size_t>(s)];
-            (void)sl.execute_shard(team, ops.data(), plan.order.data(),
-                                   shard.begin, shard.end, outcomes.data(),
-                                   &observer);
-          }
-        } else {
-          for (std::size_t i = static_cast<std::size_t>(w); i < ops.size();
-               i += static_cast<std::size_t>(cfg.workers)) {
-            const Op& op = ops[i];
-            cur_op = &op;
-            cur_tick = log.begin_op();
-            bool r = false;
-            switch (op.kind) {
-              case OpKind::Insert: r = sl.insert(team, op.key, op.value); break;
-              case OpKind::Delete: r = sl.erase(team, op.key); break;
-              case OpKind::Contains: r = sl.contains(team, op.key); break;
-            }
-            log.end_op(w, cur_tick, op.kind, op.key, r);
-            cur_op = nullptr;
-          }
-        }
-        sched.leave(w);
-      } catch (const sched::TeamKilled&) {
-        // Killed teams must not call leave(): yield() already deactivated
-        // them and handed the baton on.
-        observer.record_crash();  // batched: the op execute_shard was inside
-        if (cur_op != nullptr) {
-          log.crash_op(w, cur_tick, cur_op->kind, cur_op->key);
-        }
-        if (w == cfg.victim) {
-          victim_killed.store(true, std::memory_order_relaxed);
-        } else {
-          // Survivors only die via the watchdog: the run livelocked.
-          hang.store(true, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
   res.steps = sched.global_steps();
-  res.victim_killed = victim_killed.load(std::memory_order_relaxed);
-  if (hang.load(std::memory_order_relaxed)) {
+  res.victim_killed = sched.killed(cfg.victim);
+  // Survivors only die via the watchdog: the run livelocked.
+  bool hang = false;
+  for (int w = 0; w < cfg.workers; ++w) {
+    if (w != cfg.victim && sched.killed(w)) hang = true;
+  }
+  if (hang) {
     res.ok = false;
     res.hang = true;
     res.error = "hang: survivors hit the watchdog (step " +
@@ -235,7 +142,7 @@ CrashRunResult run_crash_at(const CrashSweepConfig& cfg,
   // the survivors should have been able to steal.
   simt::Team medic(cfg.team_size, cfg.workers, 7);
   if (reg != nullptr) medic.set_metrics(&reg->shard(cfg.workers));
-  if (!rings.empty()) medic.set_trace(rings.back().get());
+  if (!cfg.postmortem_dir.empty()) medic.set_trace(rings.team(cfg.workers));
   res.locks_recovered = sl.recover_all_expired(medic);
 
   const auto rep = sl.validate(/*strict=*/false);

@@ -65,7 +65,8 @@ struct CrashSweepConfig {
   // per-shard pin and its refresh, inside a stolen shard.  Survivors keep
   // pulling shards; the victim's popped-but-unfinished shard stays partially
   // executed, which the history check must absorb (crashed op = optional,
-  // unexecuted ops were never logged).
+  // unexecuted ops were never logged).  With snapshots attached the launch
+  // commits under one whole-batch revision, which its barrier closes.
   bool batched = false;
   std::size_t batch_shard_ops = 0;  // plan_shards granularity; 0 = auto
   // Attach a core::ForesightIndex (DESIGN.md §14): searches jump through

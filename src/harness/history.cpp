@@ -7,9 +7,30 @@
 
 namespace gfsl::harness {
 
+void HistoryObserver::on_begin(std::uint32_t /*idx*/, const Op& /*op*/) {
+  tick_ = log_->begin_op();
+}
+
+void HistoryObserver::on_end(std::uint32_t /*idx*/, const Op& op,
+                             bool result) {
+  log_->end_op(w_, tick_, op.kind, op.key, result);
+}
+
+void HistoryObserver::on_skipped(std::uint32_t /*idx*/, const Op& op) {
+  log_->crash_op(w_, tick_, op.kind, op.key);
+}
+
 HistoryLog::HistoryLog(std::size_t reserve_per_worker, int workers) {
   per_worker_.resize(static_cast<std::size_t>(workers));
   for (auto& lane : per_worker_) lane.reserve(reserve_per_worker);
+  observers_.reserve(static_cast<std::size_t>(workers));
+  for (int w = 0; w < workers; ++w) observers_.emplace_back(*this, w);
+}
+
+std::vector<core::BatchOpObserver*> HistoryLog::observers() {
+  std::vector<core::BatchOpObserver*> out;
+  for (auto& o : observers_) out.push_back(&o);
+  return out;
 }
 
 std::vector<HistoryEvent> HistoryLog::merged() const {

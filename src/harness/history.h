@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "core/batch.h"
 
 namespace gfsl::harness {
 
@@ -37,6 +38,26 @@ struct HistoryEvent {
   // any later point — so `response` is UINT64_MAX and `result` carries no
   // information.
   bool crashed = false;
+};
+
+class HistoryLog;
+
+/// Logs the ops one worker runs into a HistoryLog — the adapter a runner
+/// takes through RunConfig::observers.  An op reported skipped (its team was
+/// killed mid-flight, or it was abandoned on pool exhaustion) began but
+/// never responded, so it is logged as crashed: optional in check_history.
+class HistoryObserver final : public core::BatchOpObserver {
+ public:
+  HistoryObserver(HistoryLog& log, int worker) : log_(&log), w_(worker) {}
+
+  void on_begin(std::uint32_t idx, const Op& op) override;
+  void on_end(std::uint32_t idx, const Op& op, bool result) override;
+  void on_skipped(std::uint32_t idx, const Op& op) override;
+
+ private:
+  HistoryLog* log_;
+  int w_;
+  std::uint64_t tick_ = 0;
 };
 
 /// Thread-safe append-only history log.  Workers call begin_op()/end_op()
@@ -67,9 +88,13 @@ class HistoryLog {
   /// Merge all workers' events (call at quiescence).
   std::vector<HistoryEvent> merged() const;
 
+  /// One HistoryObserver per worker lane, for RunConfig::observers.
+  std::vector<core::BatchOpObserver*> observers();
+
  private:
   std::atomic<std::uint64_t> clock_{0};
   std::vector<std::vector<HistoryEvent>> per_worker_;
+  std::vector<HistoryObserver> observers_;
 };
 
 struct CheckResult {

@@ -9,12 +9,11 @@
 #include <cerrno>
 #include <cstring>
 #include <map>
-#include <memory>
-#include <thread>
 #include <vector>
 
 #include "harness/history.h"
 #include "harness/postmortem.h"
+#include "harness/runner.h"
 #include "harness/stack.h"
 #include "harness/workload.h"
 
@@ -74,6 +73,26 @@ std::vector<Op> sweep_ops(const ProcCrashSweepConfig& cfg) {
   return generate_ops(wl);
 }
 
+/// Journals the ops one child worker runs: a 'B' record as an op begins and
+/// an 'E' record with its result as it returns.
+class JournalObserver final : public core::BatchOpObserver {
+ public:
+  JournalObserver(int fd, int worker)
+      : fd_(fd), w_(static_cast<std::uint8_t>(worker)) {}
+
+  void on_begin(std::uint32_t idx, const Op& op) override {
+    jwrite(fd_, {'B', w_, static_cast<std::uint8_t>(op.kind), 0, idx, op.key});
+  }
+  void on_end(std::uint32_t idx, const Op& op, bool result) override {
+    jwrite(fd_, {'E', w_, static_cast<std::uint8_t>(op.kind),
+                 static_cast<std::uint8_t>(result), idx, op.key});
+  }
+
+ private:
+  int fd_;
+  std::uint8_t w_;
+};
+
 /// Child body: fresh region, deterministic threaded workload, journal every
 /// op, die at the armed barrier or exit(0) through mark_clean().  Never
 /// returns.
@@ -96,32 +115,14 @@ std::vector<Op> sweep_ops(const ProcCrashSweepConfig& cfg) {
                            O_WRONLY | O_CREAT | O_TRUNC | O_APPEND, 0644);
     if (jfd < 0) ::_exit(3);
 
-    std::vector<std::thread> threads;
-    for (int w = 0; w < cfg.workers; ++w) {
-      threads.emplace_back([&, w] {
-        simt::Team team(cfg.team_size, w, 3);
-        sched.enter(w);
-        for (std::size_t i = static_cast<std::size_t>(w); i < ops.size();
-             i += static_cast<std::size_t>(cfg.workers)) {
-          const Op& op = ops[i];
-          jwrite(jfd, {'B', static_cast<std::uint8_t>(w),
-                       static_cast<std::uint8_t>(op.kind), 0,
-                       static_cast<std::uint32_t>(i), op.key});
-          bool r = false;
-          switch (op.kind) {
-            case OpKind::Insert: r = sl.insert(team, op.key, op.value); break;
-            case OpKind::Delete: r = sl.erase(team, op.key); break;
-            case OpKind::Contains: r = sl.contains(team, op.key); break;
-          }
-          jwrite(jfd, {'E', static_cast<std::uint8_t>(w),
-                       static_cast<std::uint8_t>(op.kind),
-                       static_cast<std::uint8_t>(r),
-                       static_cast<std::uint32_t>(i), op.key});
-        }
-        sched.leave(w);
-      });
-    }
-    for (auto& t : threads) t.join();
+    std::vector<JournalObserver> journal;
+    for (int w = 0; w < cfg.workers; ++w) journal.emplace_back(jfd, w);
+    RunConfig rc;
+    rc.num_workers = cfg.workers;
+    rc.seed = 3;
+    rc.scheduler = &sched;
+    for (auto& j : journal) rc.observers.push_back(&j);
+    (void)run_gfsl(sl, ops, rc, stack.mem());
     ::close(jfd);
     stack.region()->mark_clean();
     ::_exit(0);
@@ -247,19 +248,11 @@ VerifyOutcome verify_image(const ProcCrashSweepConfig& cfg,
   // recovered contents must equal the model with the one crashed op either
   // applied or not.
   if (cfg.workers == 1) {
-    std::map<Key, Value> model;
-    std::uint32_t crashed_opid = UINT32_MAX;
+    MapOracle model;
     for (const JournalRec& r : recs) {
       if (r.tag != 'E') continue;
       const Op& op = ops[r.opid];
-      bool expect = false;
-      switch (op.kind) {
-        case OpKind::Insert:
-          expect = model.emplace(op.key, op.value).second;
-          break;
-        case OpKind::Delete: expect = model.erase(op.key) != 0; break;
-        case OpKind::Contains: expect = model.count(op.key) != 0; break;
-      }
+      const bool expect = model.apply(op);
       if (expect != (r.result != 0)) {
         fail("oracle mismatch at op " + std::to_string(r.opid) +
              " (key " + std::to_string(op.key) + "): journal says " +
@@ -268,18 +261,12 @@ VerifyOutcome verify_image(const ProcCrashSweepConfig& cfg,
         return out;
       }
     }
-    if (!open.empty()) crashed_opid = open.begin()->first;
-    std::vector<std::pair<Key, Value>> without(model.begin(), model.end());
-    bool matches = contents == without;
+    const std::uint32_t crashed_opid =
+        open.empty() ? UINT32_MAX : open.begin()->first;
+    bool matches = contents == model.collect();
     if (!matches && crashed_opid != UINT32_MAX) {
-      const Op& op = ops[crashed_opid];
-      switch (op.kind) {
-        case OpKind::Insert: model.emplace(op.key, op.value); break;
-        case OpKind::Delete: model.erase(op.key); break;
-        case OpKind::Contains: break;
-      }
-      std::vector<std::pair<Key, Value>> with(model.begin(), model.end());
-      matches = contents == with;
+      (void)model.apply(ops[crashed_opid]);
+      matches = contents == model.collect();
     }
     if (!matches) {
       fail("recovered contents match neither replay model (crashed op " +

@@ -1,12 +1,12 @@
 #include "harness/runner.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <new>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "harness/workload.h"
 #include "sched/batch_dispatch.h"
@@ -22,25 +22,24 @@ using Clock = std::chrono::steady_clock;
 /// step, executed by the warp at the pace of its slowest lane).
 constexpr std::uint64_t kMcInstrPerHop = 8;
 
-std::pair<std::size_t, std::size_t> slice(std::size_t total, int workers,
-                                          int w) {
-  const std::size_t base = total / static_cast<std::size_t>(workers);
-  const std::size_t extra = total % static_cast<std::size_t>(workers);
-  const auto uw = static_cast<std::size_t>(w);
-  const std::size_t begin = uw * base + std::min(uw, extra);
-  const std::size_t len = base + (uw < extra ? 1 : 0);
-  return {begin, begin + len};
-}
-
-/// Pre-flight for the optional telemetry sinks: every worker needs its own
-/// shard (shards are single-writer) and trace ring (created before the
-/// threads spawn so attachment is race-free).
-void prepare_obs(const RunConfig& cfg) {
+/// The prologue every runner shares; returns the memory baseline.  Every
+/// worker needs its own metrics shard (shards are single-writer), its own
+/// observer, and its trace ring (created before the threads spawn so
+/// attachment is race-free).
+device::MemStats begin_run(const RunConfig& cfg, device::DeviceMemory& mem,
+                           std::size_t num_ops) {
   if (cfg.metrics != nullptr && cfg.metrics->shards() < cfg.num_workers) {
     throw std::invalid_argument(
         "metrics registry needs at least one shard per worker");
   }
+  if (!cfg.observers.empty() &&
+      cfg.observers.size() < static_cast<std::size_t>(cfg.num_workers)) {
+    throw std::invalid_argument("observers need one entry per worker");
+  }
   if (cfg.trace != nullptr) cfg.trace->ensure(cfg.num_workers);
+  if (cfg.flush_cache_before) mem.flush_cache();
+  if (cfg.results != nullptr) cfg.results->assign(num_ops, 0);
+  return mem.snapshot();
 }
 
 /// SIMT-event totals (ballot/shfl/divergence rates, lock events) folded into
@@ -66,77 +65,152 @@ const obs::OpIds& op_ids(OpKind kind) {
   return obs::kContainsOp;
 }
 
-}  // namespace
+/// Forwards one worker's op brackets to its RunConfig observer, with
+/// indices into the whole op array, and remembers the op in flight so an
+/// unwind can report it through on_skipped.
+class InFlight final : public core::BatchOpObserver {
+ public:
+  explicit InFlight(core::BatchOpObserver* next) : next_(next) {}
 
-RunResult run_gfsl(core::Gfsl& sl, const std::vector<Op>& ops,
-                   const RunConfig& cfg, device::DeviceMemory& mem) {
-  RunResult res;
-  prepare_obs(cfg);
-  if (cfg.flush_cache_before) mem.flush_cache();
-  const device::MemStats before = mem.snapshot();
-  if (cfg.results != nullptr) cfg.results->assign(ops.size(), 0);
+  /// Shard indices count from `base`, the launch's offset in the op array.
+  void rebase(std::size_t base) { base_ = static_cast<std::uint32_t>(base); }
+
+  void on_begin(std::uint32_t idx, const Op& op) override {
+    op_ = &op;
+    idx_ = base_ + idx;
+    next_->on_begin(idx_, op);
+  }
+  void on_end(std::uint32_t /*idx*/, const Op& op, bool result) override {
+    op_ = nullptr;
+    next_->on_end(idx_, op, result);
+  }
+  void on_skipped(std::uint32_t /*idx*/, const Op& op) override {
+    op_ = nullptr;
+    next_->on_skipped(idx_, op);
+  }
+
+  /// The team unwound (kill or pool exhaustion): its op in flight, if any,
+  /// never responded.
+  void abandon() {
+    if (op_ != nullptr) on_skipped(idx_, *op_);
+  }
+
+ private:
+  core::BatchOpObserver* next_;
+  const Op* op_ = nullptr;
+  std::uint32_t idx_ = 0;
+  std::uint32_t base_ = 0;
+};
+
+/// One team inside run_teams, as the runner's work sees it.
+struct Worker {
+  simt::Team& team;
+  int w;
+  InFlight* observer;         // null: the run has no observers
+  std::uint64_t ops_true = 0;  // this team's ops that returned true
+};
+
+/// A team's seat: participant `id` of `sched` (null = free-running).
+struct Seat {
+  sched::StepScheduler* sched = nullptr;
+  int id = 0;
+};
+
+/// What the teams of one GFSL run hand back.
+struct Teams {
+  std::vector<simt::TeamCounters> counters;
+  std::uint64_t ops_true = 0;
+  bool out_of_memory = false;
+};
+
+/// The per-team body every GFSL runner shares.  One thread per team, each
+/// with its Team (seeded from cfg.seed), metrics shard and trace ring,
+/// takes its seat, runs `work(worker)` and catches pool exhaustion and
+/// kills, reporting the op in flight through on_skipped; then it folds the
+/// team's counters into its shard and leaves its seat.  A killed team does
+/// not leave: yield() already released its seat and handed the baton on,
+/// and a second hand-off would set two teams running at once.
+template <class SeatOf, class Work>
+Teams run_teams(core::Gfsl& sl, const RunConfig& cfg, SeatOf seat_of,
+                Work work) {
+  const auto workers = static_cast<std::size_t>(cfg.num_workers);
+  Teams out;
+  out.counters.resize(workers);
   std::atomic<std::uint64_t> ops_true{0};
   std::atomic<bool> oom{false};
-
-  std::vector<simt::TeamCounters> counters(
-      static_cast<std::size_t>(cfg.num_workers));
-
-  const auto t0 = Clock::now();
   {
     std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(cfg.num_workers));
+    threads.reserve(workers);
     for (int w = 0; w < cfg.num_workers; ++w) {
       threads.emplace_back([&, w] {
+        const auto uw = static_cast<std::size_t>(w);
         simt::Team team(sl.team_size(), w, cfg.seed);
         obs::MetricsShard* shard =
             cfg.metrics != nullptr ? &cfg.metrics->shard(w) : nullptr;
         if (shard != nullptr) team.set_metrics(shard);
         if (cfg.trace != nullptr) team.set_trace(cfg.trace->team(w));
-        if (cfg.scheduler != nullptr) cfg.scheduler->enter(w);
-        const auto [begin, end] =
-            slice(ops.size(), cfg.num_workers, w);
-        std::uint64_t mine_true = 0;
+        InFlight inflight(cfg.observers.empty() ? nullptr
+                                                : cfg.observers[uw]);
+        Worker me{team, w, cfg.observers.empty() ? nullptr : &inflight};
+        const Seat seat = seat_of(w);
+        if (seat.sched != nullptr) seat.sched->enter(seat.id);
+        bool killed = false;
         try {
-          for (std::size_t i = begin; i < end; ++i) {
-            const Op& op = ops[i];
-            bool r = false;
-            switch (op.kind) {
-              case OpKind::Insert:
-                r = sl.insert(team, op.key, op.value);
-                break;
-              case OpKind::Delete:
-                r = sl.erase(team, op.key);
-                break;
-              case OpKind::Contains:
-                r = sl.contains(team, op.key);
-                break;
-            }
-            if (r) ++mine_true;
-            if (cfg.results != nullptr) {
-              (*cfg.results)[i] = r ? 1 : 0;
-            }
-          }
+          work(me);
         } catch (const std::bad_alloc&) {
+          inflight.abandon();
           oom.store(true, std::memory_order_relaxed);
         } catch (const sched::TeamKilled&) {
-          // Failure injection: abandon remaining work.
+          inflight.abandon();
+          killed = true;
         }
-        ops_true.fetch_add(mine_true, std::memory_order_relaxed);
-        counters[static_cast<std::size_t>(w)] = team.counters();
+        ops_true.fetch_add(me.ops_true, std::memory_order_relaxed);
+        out.counters[uw] = team.counters();
         fold_team_counters(shard, team.counters());
-        if (cfg.scheduler != nullptr) cfg.scheduler->leave(w);
+        if (seat.sched != nullptr && !killed) seat.sched->leave(seat.id);
       });
     }
     for (auto& t : threads) t.join();
   }
-  const auto t1 = Clock::now();
+  out.ops_true = ops_true.load(std::memory_order_relaxed);
+  out.out_of_memory = oom.load(std::memory_order_relaxed);
+  return out;
+}
 
-  res.sim_wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  res.ops_true = ops_true.load(std::memory_order_relaxed);
-  res.out_of_memory = oom.load(std::memory_order_relaxed);
-  for (const auto& c : counters) res.team_totals += c;
+/// The one op dispatch of a GFSL run.
+bool apply_op(core::Gfsl& sl, simt::Team& team, const Op& op) {
+  switch (op.kind) {
+    case OpKind::Insert: return sl.insert(team, op.key, op.value);
+    case OpKind::Delete: return sl.erase(team, op.key);
+    case OpKind::Contains: break;
+  }
+  return sl.contains(team, op.key);
+}
 
-  res.kernel.ops = ops.size();
+/// A per-op team's share: ops w, w+W, w+2W, ... of W workers.
+void run_share(core::Gfsl& sl, const std::vector<Op>& ops,
+               const RunConfig& cfg, Worker& me) {
+  for (std::size_t i = static_cast<std::size_t>(me.w); i < ops.size();
+       i += static_cast<std::size_t>(cfg.num_workers)) {
+    const Op& op = ops[i];
+    const auto idx = static_cast<std::uint32_t>(i);
+    if (me.observer != nullptr) me.observer->on_begin(idx, op);
+    const bool r = apply_op(sl, me.team, op);
+    if (me.observer != nullptr) me.observer->on_end(idx, op, r);
+    if (r) ++me.ops_true;
+    if (cfg.results != nullptr) (*cfg.results)[i] = r ? 1 : 0;
+  }
+}
+
+RunResult gfsl_result(std::size_t num_ops, const Teams& teams,
+                      Clock::duration wall, device::DeviceMemory& mem,
+                      const device::MemStats& before) {
+  RunResult res;
+  res.sim_wall_seconds = std::chrono::duration<double>(wall).count();
+  res.ops_true = teams.ops_true;
+  res.out_of_memory = teams.out_of_memory;
+  for (const auto& c : teams.counters) res.team_totals += c;
+  res.kernel.ops = num_ops;
   res.kernel.mem = mem.snapshot() - before;
   // A coalesced team read is one serialized wait; so is each atomic.
   res.kernel.mem_epochs = res.kernel.mem.warp_reads + res.kernel.mem.atomics;
@@ -145,23 +219,29 @@ RunResult run_gfsl(core::Gfsl& sl, const std::vector<Op>& ops,
   return res;
 }
 
+}  // namespace
+
+RunResult run_gfsl(core::Gfsl& sl, const std::vector<Op>& ops,
+                   const RunConfig& cfg, device::DeviceMemory& mem) {
+  const device::MemStats before = begin_run(cfg, mem, ops.size());
+  const auto t0 = Clock::now();
+  const Teams teams = run_teams(
+      sl, cfg, [&](int w) { return Seat{cfg.scheduler, w}; },
+      [&](Worker& me) { run_share(sl, ops, cfg, me); });
+  return gfsl_result(ops.size(), teams, Clock::now() - t0, mem, before);
+}
+
 RunResult run_gfsl_batched(core::Gfsl& sl, const std::vector<Op>& ops,
                            const RunConfig& cfg, device::DeviceMemory& mem,
                            const BatchRunOptions& opts,
                            core::BatchResult* batch_out) {
-  RunResult res;
-  prepare_obs(cfg);
-  if (cfg.flush_cache_before) mem.flush_cache();
-  const device::MemStats before = mem.snapshot();
-  if (cfg.results != nullptr) cfg.results->assign(ops.size(), 0);
-
+  const device::MemStats before = begin_run(cfg, mem, ops.size());
   std::vector<std::uint8_t> outcomes(
       ops.size(), static_cast<std::uint8_t>(core::BatchOpStatus::kSkipped));
   const auto batches = batch_slices(ops.size(), opts.batch_size);
   const std::size_t nb = batches.size();
   const int workers = cfg.num_workers;
 
-  std::vector<simt::TeamCounters> counters(static_cast<std::size_t>(workers));
   std::vector<core::ShardExecStats> worker_stats(
       static_cast<std::size_t>(workers));
   std::vector<std::uint64_t> worker_steals(static_cast<std::size_t>(workers),
@@ -182,12 +262,32 @@ RunResult run_gfsl_batched(core::Gfsl& sl, const std::vector<Op>& ops,
   }
 
   // One thread per team for the whole run: StepScheduler::enter is not
-  // re-entrant (the start barrier fires exactly once), so batches are
-  // separated by a yielding spin barrier instead of join/respawn.  Killed
-  // teams are excused from every subsequent barrier via `dead`.
-  auto arrived = std::make_unique<std::atomic<int>[]>(nb);
-  for (std::size_t b = 0; b < nb; ++b) arrived[b].store(0);
-  std::atomic<int> dead{0};
+  // re-entrant (the start barrier fires exactly once), so launches are
+  // separated by a yielding spin barrier instead of join/respawn.  passed[w]
+  // counts the launches team w has finished; each arrival is recorded once,
+  // so a team killed while it waits at a barrier is not counted twice.
+  auto passed = std::make_unique<std::atomic<std::size_t>[]>(
+      static_cast<std::size_t>(workers));
+  auto pause = [&](int w) {
+    if (cfg.scheduler != nullptr) {
+      cfg.scheduler->yield(w);  // may throw TeamKilled
+    } else {
+      std::this_thread::yield();
+    }
+  };
+  // Every team has passed launch b or is dead.  Deaths come from the
+  // scheduler's kill record, written under its lock at the kill step, so a
+  // survivor learns of a death at the same point of every run of a seed.
+  auto launch_done = [&](std::size_t b) {
+    for (int v = 0; v < workers; ++v) {
+      if (passed[static_cast<std::size_t>(v)].load(
+              std::memory_order_acquire) <= b &&
+          (cfg.scheduler == nullptr || !cfg.scheduler->killed(v))) {
+        return false;
+      }
+    }
+    return true;
+  };
 
   // Whole-batch MVCC revision, same protocol as core::run_batch: the first
   // worker to reach batch b claims a batch commit slot and publishes one
@@ -217,93 +317,64 @@ RunResult run_gfsl_batched(core::Gfsl& sl, const std::vector<Op>& ops,
       snaps->release_batch_slot(s);
     }
   };
-
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      threads.emplace_back([&, w] {
-        simt::Team team(sl.team_size(), w, cfg.seed);
-        obs::MetricsShard* shard =
-            cfg.metrics != nullptr ? &cfg.metrics->shard(w) : nullptr;
-        if (shard != nullptr) team.set_metrics(shard);
-        if (cfg.trace != nullptr) team.set_trace(cfg.trace->team(w));
-        if (cfg.scheduler != nullptr) cfg.scheduler->enter(w);
-        core::ShardExecStats mine;
-        std::uint64_t mine_steals = 0;
-        try {
-          for (std::size_t b = 0; b < nb; ++b) {
-            const std::size_t off = batches[b].first;
-            // Publish (or wait for) this launch's whole-batch revision.
-            core::Rev rev = brev[b].load(std::memory_order_acquire);
-            if (rev == kRevUnset) {
-              int claim = 0;
-              if (bclaim[b].compare_exchange_strong(
-                      claim, 1, std::memory_order_acq_rel)) {
-                const int bs = snaps->acquire_batch_slot();
-                core::Rev r = 0;
-                if (bs >= 0) {
-                  bslot[b].store(bs, std::memory_order_release);
-                  r = snaps->begin_commit(bs);
-                }
-                brev[b].store(r, std::memory_order_release);
-                rev = r;
-              } else {
-                while ((rev = brev[b].load(std::memory_order_acquire)) ==
-                       kRevUnset) {
-                  if (cfg.scheduler != nullptr) {
-                    cfg.scheduler->yield(w);  // may throw TeamKilled
-                  } else {
-                    std::this_thread::yield();
-                  }
-                }
-              }
-            }
-            int s;
-            bool stolen = false;
-            while ((s = queues[b]->pop(w, &stolen)) >= 0) {
-              const auto& sh = plans[b].shards[static_cast<std::size_t>(s)];
-              if (stolen) {
-                ++mine_steals;
-                team.metric(obs::kBatchShardsStolen);
-              }
-              const core::ShardExecStats ex = sl.execute_shard(
-                  team, ops.data() + off, plans[b].order.data(), sh.begin,
-                  sh.end, outcomes.data() + off, nullptr, rev);
-              mine.reuses += ex.reuses;
-              mine.fulls += ex.fulls;
-              mine.pins += ex.pins;
-              mine.applied_true += ex.applied_true;
-              if (ex.out_of_memory) oom.store(true, std::memory_order_relaxed);
-            }
-            // Batch boundary: a launch completes before the next begins.
-            arrived[b].fetch_add(1, std::memory_order_acq_rel);
-            while (arrived[b].load(std::memory_order_acquire) +
-                       dead.load(std::memory_order_acquire) <
-                   workers) {
-              if (cfg.scheduler != nullptr) {
-                cfg.scheduler->yield(w);  // may throw TeamKilled
-              } else {
-                std::this_thread::yield();
-              }
-            }
-            // Every shard of the launch has retired; the batch's revision
-            // becomes stable in one step.
-            end_batch_commit(b);
-          }
-        } catch (const sched::TeamKilled&) {
-          // Failure injection: excuse this team from remaining barriers.
-          dead.fetch_add(1, std::memory_order_acq_rel);
-        }
-        worker_stats[static_cast<std::size_t>(w)] = mine;
-        worker_steals[static_cast<std::size_t>(w)] = mine_steals;
-        counters[static_cast<std::size_t>(w)] = team.counters();
-        fold_team_counters(shard, team.counters());
-        if (cfg.scheduler != nullptr) cfg.scheduler->leave(w);
-      });
+  // Publish (or wait for) launch b's whole-batch revision.
+  auto batch_rev = [&](std::size_t b, int w) {
+    core::Rev rev = brev[b].load(std::memory_order_acquire);
+    if (rev != kRevUnset) return rev;
+    int claim = 0;
+    if (bclaim[b].compare_exchange_strong(claim, 1,
+                                          std::memory_order_acq_rel)) {
+      const int bs = snaps->acquire_batch_slot();
+      core::Rev r = 0;
+      if (bs >= 0) {
+        bslot[b].store(bs, std::memory_order_release);
+        r = snaps->begin_commit(bs);
+      }
+      brev[b].store(r, std::memory_order_release);
+      return r;
     }
-    for (auto& t : threads) t.join();
-  }
+    while ((rev = brev[b].load(std::memory_order_acquire)) == kRevUnset) {
+      pause(w);
+    }
+    return rev;
+  };
+
+  const Teams teams = run_teams(
+      sl, cfg, [&](int w) { return Seat{cfg.scheduler, w}; },
+      [&](Worker& me) {
+        const auto uw = static_cast<std::size_t>(me.w);
+        core::ShardExecStats& mine = worker_stats[uw];
+        for (std::size_t b = 0; b < nb; ++b) {
+          const std::size_t off = batches[b].first;
+          const core::Rev rev = batch_rev(b, me.w);
+          if (me.observer != nullptr) me.observer->rebase(off);
+          int s;
+          bool stolen = false;
+          while ((s = queues[b]->pop(me.w, &stolen)) >= 0) {
+            const auto& sh = plans[b].shards[static_cast<std::size_t>(s)];
+            if (stolen) {
+              ++worker_steals[uw];
+              me.team.metric(obs::kBatchShardsStolen);
+            }
+            const core::ShardExecStats ex = sl.execute_shard(
+                me.team, ops.data() + off, plans[b].order.data(), sh.begin,
+                sh.end, outcomes.data() + off, me.observer, rev);
+            mine.reuses += ex.reuses;
+            mine.fulls += ex.fulls;
+            mine.pins += ex.pins;
+            me.ops_true += ex.applied_true;
+            if (ex.out_of_memory) oom.store(true, std::memory_order_relaxed);
+          }
+          // Launch boundary: a launch completes before the next begins, and
+          // its revision becomes stable in one step once every shard has
+          // retired.  After the last launch with no revision open there is
+          // nothing to wait for.
+          if (b + 1 == nb && rev == 0) break;
+          passed[uw].store(b + 1, std::memory_order_release);
+          while (!launch_done(b)) pause(me.w);
+          end_batch_commit(b);
+        }
+      });
   // Killed teams may have left batch commits in flight; a stuck in-flight
   // revision would pin stable_rev (and every future snapshot) forever.
   for (std::size_t b = 0; b < nb; ++b) {
@@ -312,12 +383,9 @@ RunResult run_gfsl_batched(core::Gfsl& sl, const std::vector<Op>& ops,
       end_batch_commit(b);
     }
   }
-  const auto t1 = Clock::now();
-
-  res.sim_wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  res.out_of_memory = oom.load(std::memory_order_relaxed);
-  for (const auto& c : counters) res.team_totals += c;
-  for (const auto& st : worker_stats) res.ops_true += st.applied_true;
+  RunResult res = gfsl_result(ops.size(), teams, Clock::now() - t0, mem,
+                              before);
+  res.out_of_memory = res.out_of_memory || oom.load(std::memory_order_relaxed);
 
   if (cfg.results != nullptr) {
     for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -346,28 +414,17 @@ RunResult run_gfsl_batched(core::Gfsl& sl, const std::vector<Op>& ops,
     }
     for (const std::uint64_t s : worker_steals) bs.steals += s;
   }
-
-  res.kernel.ops = ops.size();
-  res.kernel.mem = mem.snapshot() - before;
-  res.kernel.mem_epochs = res.kernel.mem.warp_reads + res.kernel.mem.atomics;
-  res.kernel.warp_steps = res.team_totals.instructions;
-  res.kernel.lock_spins = res.team_totals.lock_spins;
   return res;
 }
 
 RunResult run_gfsl_paired(core::Gfsl& sl, const std::vector<Op>& ops,
                           const RunConfig& cfg, device::DeviceMemory& mem) {
-  RunResult res;
   if (cfg.num_workers < 2 || cfg.num_workers % 2 != 0) {
     throw std::invalid_argument("paired execution needs an even worker count");
   }
-  prepare_obs(cfg);
-  if (cfg.flush_cache_before) mem.flush_cache();
-  const device::MemStats before = mem.snapshot();
-  if (cfg.results != nullptr) cfg.results->assign(ops.size(), 0);
-  std::atomic<std::uint64_t> ops_true{0};
-  std::atomic<bool> oom{false};
-
+  const device::MemStats before = begin_run(cfg, mem, ops.size());
+  // One round-robin scheduler per warp; team w is participant w % 2 of
+  // warp w / 2 and yields to it at every step.
   const int pairs = cfg.num_workers / 2;
   std::vector<std::unique_ptr<sched::StepScheduler>> warp_sched;
   warp_sched.reserve(static_cast<std::size_t>(pairs));
@@ -375,80 +432,25 @@ RunResult run_gfsl_paired(core::Gfsl& sl, const std::vector<Op>& ops,
     warp_sched.push_back(std::make_unique<sched::StepScheduler>(
         sched::StepScheduler::Mode::RoundRobin, cfg.seed, 2));
   }
-
-  std::vector<simt::TeamCounters> counters(
-      static_cast<std::size_t>(cfg.num_workers));
+  auto seat = [&](int w) {
+    return Seat{warp_sched[static_cast<std::size_t>(w / 2)].get(), w % 2};
+  };
 
   const auto t0 = Clock::now();
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(cfg.num_workers));
-    for (int w = 0; w < cfg.num_workers; ++w) {
-      threads.emplace_back([&, w] {
-        sched::StepScheduler* warp = warp_sched[static_cast<std::size_t>(w / 2)].get();
-        const int lane_team = w % 2;
-        simt::Team team(sl.team_size(), w, cfg.seed);
-        obs::MetricsShard* shard =
-            cfg.metrics != nullptr ? &cfg.metrics->shard(w) : nullptr;
-        if (shard != nullptr) team.set_metrics(shard);
-        if (cfg.trace != nullptr) team.set_trace(cfg.trace->team(w));
-        team.set_yield_hook([warp, lane_team] { warp->yield(lane_team); });
-        warp->enter(lane_team);
-        const auto [begin, end] = slice(ops.size(), cfg.num_workers, w);
-        std::uint64_t mine_true = 0;
-        try {
-          for (std::size_t i = begin; i < end; ++i) {
-            const Op& op = ops[i];
-            bool r = false;
-            switch (op.kind) {
-              case OpKind::Insert:
-                r = sl.insert(team, op.key, op.value);
-                break;
-              case OpKind::Delete:
-                r = sl.erase(team, op.key);
-                break;
-              case OpKind::Contains:
-                r = sl.contains(team, op.key);
-                break;
-            }
-            if (r) ++mine_true;
-            if (cfg.results != nullptr) {
-              (*cfg.results)[i] = r ? 1 : 0;
-            }
-          }
-        } catch (const std::bad_alloc&) {
-          oom.store(true, std::memory_order_relaxed);
-        }
-        ops_true.fetch_add(mine_true, std::memory_order_relaxed);
-        counters[static_cast<std::size_t>(w)] = team.counters();
-        fold_team_counters(shard, team.counters());
-        warp->leave(lane_team);
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
-  const auto t1 = Clock::now();
-
-  res.sim_wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  res.ops_true = ops_true.load(std::memory_order_relaxed);
-  res.out_of_memory = oom.load(std::memory_order_relaxed);
-  for (const auto& c : counters) res.team_totals += c;
-
-  res.kernel.ops = ops.size();
-  res.kernel.mem = mem.snapshot() - before;
-  res.kernel.mem_epochs = res.kernel.mem.warp_reads + res.kernel.mem.atomics;
-  res.kernel.warp_steps = res.team_totals.instructions;
-  res.kernel.lock_spins = res.team_totals.lock_spins;
-  return res;
+  const Teams teams = run_teams(sl, cfg, seat, [&](Worker& me) {
+    me.team.set_yield_hook(
+        [s = seat(me.w)] { s.sched->yield(s.id); });
+    run_share(sl, ops, cfg, me);
+  });
+  return gfsl_result(ops.size(), teams, Clock::now() - t0, mem, before);
 }
 
+// M&C keeps its own thread loop (lane contexts, not Teams), with the same op
+// assignment and kill rule as the GFSL runners.
 RunResult run_mc(baseline::McSkiplist& sl, const std::vector<Op>& ops,
                  const RunConfig& cfg, device::DeviceMemory& mem) {
   RunResult res;
-  prepare_obs(cfg);
-  if (cfg.flush_cache_before) mem.flush_cache();
-  const device::MemStats before = mem.snapshot();
-  if (cfg.results != nullptr) cfg.results->assign(ops.size(), 0);
+  const device::MemStats before = begin_run(cfg, mem, ops.size());
   std::atomic<std::uint64_t> ops_true{0};
   std::atomic<std::uint64_t> warp_epochs{0};
   std::atomic<bool> oom{false};
@@ -463,10 +465,11 @@ RunResult run_mc(baseline::McSkiplist& sl, const std::vector<Op>& ops,
         obs::MetricsShard* shard =
             cfg.metrics != nullptr ? &cfg.metrics->shard(w) : nullptr;
         if (cfg.scheduler != nullptr) cfg.scheduler->enter(w);
-        const auto [begin, end] = slice(ops.size(), cfg.num_workers, w);
         std::uint64_t mine_true = 0;
+        bool killed = false;
         try {
-          for (std::size_t i = begin; i < end; ++i) {
+          for (std::size_t i = static_cast<std::size_t>(w); i < ops.size();
+               i += static_cast<std::size_t>(cfg.num_workers)) {
             const Op& op = ops[i];
             // M&C ops run per-lane (no Team), so op latency is recorded here
             // rather than by an OpScope in the structure; "steps" are the
@@ -509,10 +512,11 @@ RunResult run_mc(baseline::McSkiplist& sl, const std::vector<Op>& ops,
         } catch (const std::bad_alloc&) {
           oom.store(true, std::memory_order_relaxed);
         } catch (const sched::TeamKilled&) {
+          killed = true;
         }
         ops_true.fetch_add(mine_true, std::memory_order_relaxed);
         warp_epochs.fetch_add(ctx.warp_epochs(), std::memory_order_relaxed);
-        if (cfg.scheduler != nullptr) cfg.scheduler->leave(w);
+        if (cfg.scheduler != nullptr && !killed) cfg.scheduler->leave(w);
       });
     }
     for (auto& t : threads) t.join();

@@ -1,6 +1,15 @@
 // Concurrent kernel runner: executes an operation array against GFSL (one
 // host thread per team) or M&C (one host thread per lane stream), collecting
 // the event counts the cost model consumes.
+//
+// These runners are the one place an op array meets GFSL teams: the
+// experiments, the campaigns, the crash, process-crash and corrupt sweeps
+// and the fuzzer all drive their teams through them.  Per-op runs
+// deal the array round-robin: of W workers, worker w runs ops w, w+W,
+// w+2W, ...  Under a Deterministic scheduler a run is a pure function of
+// its seeds, also when kills are armed: a killed team stops where the kill
+// lands, never calls leave() (yield() already handed the baton on), and
+// reports its op in flight to its observer through on_skipped.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +40,11 @@ struct RunConfig {
   /// trace->team(w); both must outlive the run.  Null = zero overhead.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceSession* trace = nullptr;
+  /// Optional per-op hooks, one per worker (empty = none): worker w brackets
+  /// every op it runs, per-op or batched, with observers[w]'s on_begin and
+  /// on_end, and reports an op cut short by a kill or by pool exhaustion
+  /// through on_skipped.  GFSL runners only.
+  std::vector<core::BatchOpObserver*> observers;
 };
 
 struct RunResult {
@@ -41,7 +55,9 @@ struct RunResult {
   bool out_of_memory = false;     // pool exhausted mid-run (M&C at big ranges)
 };
 
-/// Execute `ops` against a GFSL instance with `cfg.num_workers` teams.
+/// Execute `ops` against a GFSL instance with `cfg.num_workers` teams.  A
+/// team that exhausts the pool abandons the rest of its share
+/// (RunResult::out_of_memory).
 RunResult run_gfsl(core::Gfsl& sl, const std::vector<Op>& ops,
                    const RunConfig& cfg, device::DeviceMemory& mem);
 

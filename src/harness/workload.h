@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -62,6 +64,52 @@ std::vector<std::pair<Key, Value>> generate_prefill(const WorkloadConfig& cfg);
 
 /// The prefill policy the paper pairs with each mix.
 Prefill default_prefill(const Mix& mix);
+
+/// The sequential reference model: a std::map that replays ops with the
+/// per-op API's semantics.  Batches promise per-key submission order and
+/// ops on distinct keys commute, so a batch's outcomes, and any one-worker
+/// run, must match a submission-order replay element for element.
+class MapOracle {
+ public:
+  /// Install the structure's prefill (mirrors Gfsl::bulk_load).
+  void preload(const std::vector<std::pair<Key, Value>>& pairs) {
+    for (const auto& [k, v] : pairs) map_[k] = v;
+  }
+
+  /// Apply one op; returns its boolean.
+  bool apply(const Op& op) {
+    switch (op.kind) {
+      case OpKind::Insert:
+        return map_.emplace(op.key, op.value).second;
+      case OpKind::Delete:
+        return map_.erase(op.key) > 0;
+      case OpKind::Contains:
+        break;
+    }
+    return map_.count(op.key) > 0;
+  }
+
+  /// Submission-order replay: the expected result of every op (0 or 1,
+  /// which are also BatchOpStatus::kFalse and kTrue).
+  std::vector<std::uint8_t> apply_batch(const std::vector<Op>& ops) {
+    std::vector<std::uint8_t> out;
+    out.reserve(ops.size());
+    for (const Op& op : ops) out.push_back(apply(op) ? 1 : 0);
+    return out;
+  }
+
+  const std::map<Key, Value>& state() const { return map_; }
+
+  /// Sorted <key, value> pairs, comparable with Gfsl::collect().
+  std::vector<std::pair<Key, Value>> collect() const {
+    return {map_.begin(), map_.end()};
+  }
+
+  std::size_t size() const { return map_.size(); }
+
+ private:
+  std::map<Key, Value> map_;
+};
 
 /// Cut a `num_ops`-long op array into contiguous kernel launches of
 /// `batch_size` ops (the last one may be short).  `batch_size` 0 means one

@@ -16,6 +16,7 @@ StepScheduler::StepScheduler(Mode mode, std::uint64_t seed, int participants)
   waiting_.assign(static_cast<std::size_t>(n_), false);
   kill_step_.assign(static_cast<std::size_t>(n_),
                     std::numeric_limits<std::uint64_t>::max());
+  killed_.assign(static_cast<std::size_t>(n_), false);
 }
 
 void StepScheduler::enter(int id) {
@@ -53,6 +54,7 @@ void StepScheduler::yield(int id) {
     kill_step_[static_cast<std::size_t>(id)] =
         std::numeric_limits<std::uint64_t>::max();
     active_[static_cast<std::size_t>(id)] = false;
+    killed_[static_cast<std::size_t>(id)] = true;
     if (steps_ >= watchdog_step_) watchdog_fired_ = true;
     if (leases_ != nullptr) leases_->mark_crashed(id);
     grant_next_locked();
@@ -73,6 +75,12 @@ void StepScheduler::leave(int id) {
   active_[static_cast<std::size_t>(id)] = false;
   grant_next_locked();
   cv_.notify_all();
+}
+
+bool StepScheduler::killed(int id) const {
+  if (id < 0 || id >= n_) return false;
+  std::lock_guard<std::mutex> lk(mu_);
+  return killed_[static_cast<std::size_t>(id)];
 }
 
 void StepScheduler::kill_at(int id, std::uint64_t step) {

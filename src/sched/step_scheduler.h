@@ -71,6 +71,9 @@ class StepScheduler {
   void yield(int id);
 
   /// Participant finished all its work; releases its slot.  No-op in Free.
+  /// A killed participant must not call it: yield() already released the
+  /// slot and handed the baton on, and a second hand-off would set two
+  /// participants running at once.
   void leave(int id);
 
   /// Schedule participant `id` to be killed at its first yield at/after
@@ -90,6 +93,12 @@ class StepScheduler {
 
   std::uint64_t global_steps() const { return steps_; }
 
+  /// Whether a kill has landed on participant `id`.  Recorded under the
+  /// scheduler mutex at the kill step itself, before the victim unwinds, so
+  /// a peer that asks (the batch runner's launch barrier) learns of the
+  /// death at the same point of every run of a seed.
+  bool killed(int id) const;
+
   /// The step kill_all_at() armed (UINT64_MAX when no watchdog is set) and
   /// whether any kill actually landed at/after it.  The crash harness
   /// surfaces both in postmortem bundles so a hang report carries the
@@ -103,11 +112,12 @@ class StepScheduler {
   Mode mode_;
   LeaseTable* leases_ = nullptr;
   Xoshiro256ss rng_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<bool> active_;   // participant is between enter() and leave()
   std::vector<bool> waiting_;  // participant is blocked in enter()/yield()
   std::vector<std::uint64_t> kill_step_;  // UINT64_MAX = never
+  std::vector<bool> killed_;   // a kill has landed on the participant
   int granted_ = -1;           // participant currently allowed to run
   int n_ = 0;
   int entered_ = 0;            // participants that have called enter()

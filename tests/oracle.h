@@ -1,10 +1,6 @@
-// Differential oracle for batch execution: a std::map reference model that
-// replays operation sequences with per-op-API semantics.  Batch semantics
-// promise per-key submission order (the stable sort + never-split-a-key
-// sharding rule), and ops on distinct keys commute, so a batch's outcomes
-// must match a sequential submission-order replay element-wise — which is
-// exactly what this oracle produces.  Shared by tests/test_batch_*.cpp and
-// `gfsl_fuzz --batch`.
+// Differential oracles for the tests: the sequential MapOracle (defined in
+// harness/workload.h, where the sweeps and `gfsl_fuzz --batch` use it too)
+// and the test-only SnapshotOracle that freezes one of its states.
 #pragma once
 
 #include <cstdint>
@@ -13,53 +9,11 @@
 #include <vector>
 
 #include "common/types.h"
+#include "harness/workload.h"
 
 namespace gfsl::testing {
 
-class MapOracle {
- public:
-  MapOracle() = default;
-
-  /// Install the structure's prefill (mirrors Gfsl::bulk_load).
-  void preload(const std::vector<std::pair<Key, Value>>& pairs) {
-    for (const auto& [k, v] : pairs) map_[k] = v;
-  }
-
-  /// Apply one op with the per-op API's semantics; returns its boolean.
-  bool apply(const Op& op) {
-    switch (op.kind) {
-      case OpKind::Insert:
-        return map_.emplace(op.key, op.value).second;
-      case OpKind::Delete:
-        return map_.erase(op.key) > 0;
-      case OpKind::Contains:
-        return map_.count(op.key) > 0;
-    }
-    return false;
-  }
-
-  /// Submission-order replay: expected BatchOpStatus codes (0 = kFalse,
-  /// 1 = kTrue) for every op of the batch.
-  std::vector<std::uint8_t> apply_batch(const std::vector<Op>& ops) {
-    std::vector<std::uint8_t> out;
-    out.reserve(ops.size());
-    for (const Op& op : ops) out.push_back(apply(op) ? 1 : 0);
-    return out;
-  }
-
-  const std::map<Key, Value>& state() const { return map_; }
-
-  /// Sorted <key, value> pairs — directly comparable with Gfsl::collect()
-  /// and with scan() over the full key range.
-  std::vector<std::pair<Key, Value>> collect() const {
-    return {map_.begin(), map_.end()};
-  }
-
-  std::size_t size() const { return map_.size(); }
-
- private:
-  std::map<Key, Value> map_;
-};
+using harness::MapOracle;
 
 /// Frozen point-in-time reference for MVCC snapshot scans: captures the
 /// oracle's (or any collected) state at the instant a Gfsl::snapshot() is

@@ -1,13 +1,14 @@
 // gfsl_fuzz — randomized concurrency fuzzing under deterministic schedules.
 //
-//   gfsl_fuzz [--rounds N] [--workers N] [--ops N] [--range N] [--team-size N]
-//             [--with-foresight]
+//   gfsl_fuzz [--rounds N] [--seed S] [--workers N] [--ops N] [--range N]
+//             [--team-size N] [--with-foresight]
 //
-// Each round draws a fresh workload seed and scheduler seed, runs a
-// multi-team history under StepScheduler::Deterministic, then checks
-// (a) structural invariants, (b) per-key sequential consistency of the
-// recorded history.  Any violation prints the reproduction parameters —
-// plug them into gfsl_replay to debug.  Exits non-zero on the first failure.
+// Each round draws a fresh workload seed and scheduler seed (both in order
+// from --seed), runs a multi-team history through the shared runner under
+// StepScheduler::Deterministic, then checks (a) structural invariants,
+// (b) per-key sequential consistency of the recorded history.  Exits
+// non-zero on the first failure, printing a repro line (--seed M
+// --rounds r+1 ...) whose last round is the failing one.
 // --with-foresight attaches an aggressively-rebuilt hint table (DESIGN.md
 // §14) so hinted descents race the mix's splits/merges, and adds a
 // full-range contains() differential against collect() after each round
@@ -78,33 +79,32 @@
 //
 //   gfsl_fuzz --churn [--workers N] [--ops N] [--range N] [--team-size N]
 //             [--pool N] [--seed S] [--persist PATH]
-//       Free-running threads drive a 50/50 insert/erase mix through a small
-//       pool for >= 10x the pool's capacity in operations.  With epoch
-//       reclamation every merged-away chunk is recycled, so the run must
-//       finish with chunks_allocated() bounded and validate() clean; without
-//       it the same workload exhausts the pool almost immediately.
+//       Free-running teams drive a seeded 50/50 insert/erase op array
+//       through a small pool for >= 10x the pool's capacity in operations.
+//       With epoch reclamation every merged-away chunk is recycled, so the
+//       run must finish with chunks_allocated() bounded and validate()
+//       clean; without it the same workload exhausts the pool almost
+//       immediately.
 //       --persist backs the arena with a durable region at PATH (leases
 //       attached, every transition crossing a persist barrier), soaking the
 //       persistence hot path under free-running contention; the run ends
 //       with a clean shutdown mark.
 //
-// Batch mode (the differential oracle harness, DESIGN.md §10):
+// Batch mode (differential batches against the MapOracle, DESIGN.md §10):
 //
 //   gfsl_fuzz --batch [--rounds N] [--workers N] [--ops N] [--range N]
 //             [--team-size N] [--seed S]
-//       Each round draws a random mixed batch and replays it against a
-//       std::map oracle (tests/oracle.h): every per-op outcome and the final
-//       structure must match the submission-order reference.  Rounds
-//       alternate single-team run_batch and the multi-team stealing runner,
-//       and attach an EpochManager on every second round so batched descent
-//       reuse is fuzzed against concurrent reclamation too.
-#include <atomic>
+//       Each round draws a random mixed batch and replays it against the
+//       std::map MapOracle (harness/workload.h): every per-op outcome and
+//       the final structure must match the submission-order reference.
+//       Rounds alternate single-team run_batch and the multi-team stealing
+//       runner, and attach an EpochManager on every second round so batched
+//       descent reuse is fuzzed against concurrent reclamation too.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <set>
-#include <thread>
 
 #include "common/random.h"
 #include "harness/corrupt_sweep.h"
@@ -118,7 +118,6 @@
 #include "harness/stack.h"
 #include "harness/workload.h"
 #include "obs/trace_export.h"
-#include "oracle.h"
 #include "simt/trace.h"
 
 using namespace gfsl;
@@ -126,94 +125,62 @@ using namespace gfsl::harness;
 
 namespace {
 
-struct RoundParams {
-  std::uint64_t wl_seed;
-  std::uint64_t sched_seed;
-  int workers;
-  int team_size;
-  std::uint64_t ops;
-  std::uint64_t range;
-  std::uint64_t round = 0;
-  bool with_foresight = false;  // attach a hint table, verify the hinted path
-  std::string postmortem_dir;  // non-empty: arm rings, dump on failure
-};
-
-bool run_round(const RoundParams& p, std::string* err) {
+/// One fuzz round: the op array `wl` on `workers` teams of `team_size`
+/// under a Deterministic scheduler seeded with `sched_seed`.
+/// --with-foresight and --postmortem-dir come from `opt`.
+bool run_round(const Options& opt, const WorkloadConfig& wl, int workers,
+               int team_size, std::uint64_t sched_seed, std::uint64_t round,
+               std::string* err) {
+  const bool with_foresight = opt.get_bool("with-foresight");
+  const std::string pm_dir = opt.get("postmortem-dir", "");
   sched::StepScheduler sched(sched::StepScheduler::Mode::Deterministic,
-                             p.sched_seed, p.workers);
+                             sched_seed, workers);
   core::GfslConfig cfg;
-  cfg.team_size = p.team_size;
+  cfg.team_size = team_size;
   cfg.pool_chunks = 1u << 14;
   StackOptions so;
   so.scheduler = &sched;
   // Threshold 1 keeps the table churning, so hinted descents race every
   // split/merge the mix produces instead of settling into a stale no-op.
-  so.foresight = p.with_foresight;
+  so.foresight = with_foresight;
   so.foresight_stride = 1;
   so.foresight_rebuild_threshold = 1;
   GfslStack stack(cfg, so);
   core::Gfsl& sl = stack.gfsl();
 
-  WorkloadConfig wl;
-  wl.mix = kMix_20_20_60;  // update-heavy: maximum structural churn
-  wl.key_range = p.range;
-  wl.num_ops = p.ops;
-  wl.seed = p.wl_seed;
   const auto ops = generate_ops(wl);
 
-  HistoryLog log(p.ops / static_cast<std::uint64_t>(p.workers) + 8, p.workers);
-  std::vector<std::unique_ptr<simt::TeamTrace>> rings;
-  if (!p.postmortem_dir.empty()) {
-    for (int w = 0; w < p.workers; ++w) {
-      rings.push_back(
-          std::make_unique<simt::TeamTrace>(1024, /*timestamps=*/false));
-    }
-  }
+  HistoryLog log(wl.num_ops / static_cast<std::uint64_t>(workers) + 8,
+                 workers);
+  obs::TraceSession rings(1024, /*timestamps=*/false);
+  RunConfig rc;
+  rc.num_workers = workers;
+  rc.seed = 3;
+  rc.scheduler = &sched;
+  if (!pm_dir.empty()) rc.trace = &rings;
+  rc.observers = log.observers();
+  (void)run_gfsl(sl, ops, rc, stack.mem());
+
   auto dump_failure = [&](const std::string& reason,
                           const std::string& detail) {
-    if (p.postmortem_dir.empty()) return;
+    if (pm_dir.empty()) return;
     PostmortemContext ctx;
     ctx.reason = reason;
     ctx.detail = detail;
     ctx.gfsl = &sl;
-    for (const auto& ring : rings) ctx.rings.push_back(ring.get());
+    for (int t = 0; t < rings.teams(); ++t) ctx.rings.push_back(rings.team(t));
     ctx.info = {{"harness", "fuzz_round"},
-                {"round", std::to_string(p.round)},
-                {"wl_seed", std::to_string(p.wl_seed)},
-                {"sched_seed", std::to_string(p.sched_seed)},
-                {"workers", std::to_string(p.workers)},
-                {"team_size", std::to_string(p.team_size)},
-                {"ops", std::to_string(p.ops)},
-                {"range", std::to_string(p.range)},
-                {"with_foresight", p.with_foresight ? "1" : "0"}};
-    (void)dump_postmortem(p.postmortem_dir,
-                          "postmortem_round_" + std::to_string(p.round), ctx);
+                {"round", std::to_string(round)},
+                {"wl_seed", std::to_string(wl.seed)},
+                {"sched_seed", std::to_string(sched_seed)},
+                {"workers", std::to_string(workers)},
+                {"team_size", std::to_string(team_size)},
+                {"ops", std::to_string(wl.num_ops)},
+                {"range", std::to_string(wl.key_range)},
+                {"with_foresight", with_foresight ? "1" : "0"}};
+    (void)dump_postmortem(pm_dir, "postmortem_round_" + std::to_string(round),
+                          ctx);
   };
-  std::vector<std::thread> threads;
-  for (int w = 0; w < p.workers; ++w) {
-    threads.emplace_back([&, w] {
-      simt::Team team(p.team_size, w, 3);
-      if (!rings.empty()) {
-        team.set_trace(rings[static_cast<std::size_t>(w)].get());
-      }
-      sched.enter(w);
-      for (std::size_t i = static_cast<std::size_t>(w); i < ops.size();
-           i += static_cast<std::size_t>(p.workers)) {
-        const Op& op = ops[i];
-        const auto t = log.begin_op();
-        bool r = false;
-        switch (op.kind) {
-          case OpKind::Insert: r = sl.insert(team, op.key, op.value); break;
-          case OpKind::Delete: r = sl.erase(team, op.key); break;
-          case OpKind::Contains: r = sl.contains(team, op.key); break;
-        }
-        log.end_op(w, t, op.kind, op.key, r);
-      }
-      sched.leave(w);
-    });
-  }
-  for (auto& t : threads) t.join();
-
   const auto rep = sl.validate(/*strict=*/false);
   if (!rep.ok) {
     *err = "structure invalid: " + rep.error;
@@ -233,10 +200,10 @@ bool run_round(const RoundParams& p, std::string* err) {
   // agree exactly with the structure walk collect() just did.  Any divergence
   // means a hint steered a search past its key: the one failure mode the
   // generation/zombie validation exists to make impossible.
-  if (p.with_foresight) {
+  if (with_foresight) {
     std::set<Key> live(final_keys.begin(), final_keys.end());
-    simt::Team verifier(p.team_size, p.workers, 3);  // medic-style fresh id
-    for (std::uint64_t k = 1; k <= p.range; ++k) {
+    simt::Team verifier(team_size, workers, 3);  // medic-style fresh id
+    for (std::uint64_t k = 1; k <= wl.key_range; ++k) {
       const Key key = static_cast<Key>(k);
       if (sl.contains(verifier, key) != (live.count(key) != 0)) {
         *err = "foresight mismatch: contains(" + std::to_string(k) +
@@ -480,40 +447,18 @@ int run_churn_mode(const Options& opt) {
 
   obs::MetricsRegistry reg(workers);
   reg.set_info("mode", "churn");
-  std::vector<std::unique_ptr<simt::TeamTrace>> rings;
-  if (!pm_dir.empty()) {
-    for (int w = 0; w < workers; ++w) {
-      rings.push_back(
-          std::make_unique<simt::TeamTrace>(1024, /*timestamps=*/false));
-    }
-  }
-
-  std::atomic<int> oom{0};
-  std::vector<std::thread> threads;
-  for (int w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      simt::Team team(team_size, w, 3);
-      if (want_obs) team.set_metrics(&reg.shard(w));
-      if (!rings.empty()) {
-        team.set_trace(rings[static_cast<std::size_t>(w)].get());
-      }
-      Xoshiro256ss rng(derive_seed(seed, static_cast<std::uint64_t>(w)));
-      const std::uint64_t n = total_ops / static_cast<std::uint64_t>(workers);
-      try {
-        for (std::uint64_t i = 0; i < n; ++i) {
-          const Key k = 1 + static_cast<Key>(rng.below(range));
-          if (rng.below(2) == 0) {
-            sl.insert(team, k, k);
-          } else {
-            sl.erase(team, k);
-          }
-        }
-      } catch (const std::bad_alloc&) {
-        oom.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+  obs::TraceSession rings(1024, /*timestamps=*/false);
+  WorkloadConfig wl;
+  wl.mix = kMix_50_50_0;
+  wl.key_range = range;
+  wl.num_ops = total_ops;
+  wl.seed = seed;
+  RunConfig rc;
+  rc.num_workers = workers;
+  rc.seed = 3;
+  if (want_obs) rc.metrics = &reg;
+  if (!pm_dir.empty()) rc.trace = &rings;
+  const RunResult run = run_gfsl(sl, generate_ops(wl), rc, stack.mem());
   if (want_obs) sample_structure_gauges(reg, sl);
 
   bool ok = true;
@@ -524,9 +469,7 @@ int run_churn_mode(const Options& opt) {
     if (detail.empty()) detail = msg;
     ok = false;
   };
-  if (oom.load() != 0) {
-    fail(std::to_string(oom.load()) + " team(s) hit pool exhaustion");
-  }
+  if (run.out_of_memory) fail("a team hit pool exhaustion");
   const auto rep = sl.validate(/*strict=*/false);
   if (!rep.ok) {
     fail("structure invalid: " + rep.error);
@@ -550,7 +493,9 @@ int run_churn_mode(const Options& opt) {
       ctx.detail = detail;
       ctx.gfsl = &sl;
       ctx.metrics = &reg;
-      for (const auto& ring : rings) ctx.rings.push_back(ring.get());
+      for (int t = 0; t < rings.teams(); ++t) {
+        ctx.rings.push_back(rings.team(t));
+      }
       ctx.info = {{"harness", "churn"},
                   {"seed", std::to_string(seed)},
                   {"workers", std::to_string(workers)},
@@ -622,7 +567,7 @@ int run_batch_mode(const Options& opt) {
     wl.seed = wl_seed;
     const auto ops = generate_ops(wl);
 
-    gfsl::testing::MapOracle oracle;
+    MapOracle oracle;
     const auto want = oracle.apply_batch(ops);
 
     obs::TraceSession session(1024, /*timestamps=*/false);
@@ -745,32 +690,30 @@ int main(int argc, char** argv) {
     return run_batch_mode(opt);
   }
   const auto rounds = opt.get_u64("rounds", 40);
-  RoundParams p{};
-  p.workers = static_cast<int>(opt.get_u64("workers", 3));
-  p.team_size = static_cast<int>(opt.get_u64("team-size", 8));
-  p.ops = opt.get_u64("ops", 600);
-  p.range = opt.get_u64("range", 60);
-  p.with_foresight = opt.get_bool("with-foresight");
-  p.postmortem_dir = opt.get("postmortem-dir", "");
   const auto master = opt.get_u64("seed", 0xF022);
+  const int workers = static_cast<int>(opt.get_u64("workers", 3));
+  const int team_size = static_cast<int>(opt.get_u64("team-size", 8));
+  WorkloadConfig wl;
+  wl.mix = kMix_20_20_60;  // update-heavy: maximum structural churn
+  wl.key_range = opt.get_u64("range", 60);
+  wl.num_ops = opt.get_u64("ops", 600);
 
   Xoshiro256ss rng(master);
   for (std::uint64_t round = 0; round < rounds; ++round) {
-    p.round = round;
-    p.wl_seed = rng.next();
-    p.sched_seed = rng.next();
+    wl.seed = rng.next();
+    const std::uint64_t sched_seed = rng.next();
     std::string err;
-    if (!run_round(p, &err)) {
+    if (!run_round(opt, wl, workers, team_size, sched_seed, round, &err)) {
       std::printf(
           "FAIL round %llu: %s\n"
-          "  repro: wl_seed=%llu sched_seed=%llu workers=%d team_size=%d "
-          "ops=%llu range=%llu%s\n",
+          "  repro: --seed %llu --rounds %llu --workers %d --team-size %d "
+          "--ops %llu --range %llu%s\n",
           static_cast<unsigned long long>(round), err.c_str(),
-          static_cast<unsigned long long>(p.wl_seed),
-          static_cast<unsigned long long>(p.sched_seed), p.workers,
-          p.team_size, static_cast<unsigned long long>(p.ops),
-          static_cast<unsigned long long>(p.range),
-          p.with_foresight ? " --with-foresight" : "");
+          static_cast<unsigned long long>(master),
+          static_cast<unsigned long long>(round + 1), workers, team_size,
+          static_cast<unsigned long long>(wl.num_ops),
+          static_cast<unsigned long long>(wl.key_range),
+          opt.get_bool("with-foresight") ? " --with-foresight" : "");
       return 1;
     }
     if ((round + 1) % 10 == 0) {
@@ -780,8 +723,8 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("all %llu rounds clean (workers=%d team=%d ops=%llu range=%llu)\n",
-              static_cast<unsigned long long>(rounds), p.workers, p.team_size,
-              static_cast<unsigned long long>(p.ops),
-              static_cast<unsigned long long>(p.range));
+              static_cast<unsigned long long>(rounds), workers, team_size,
+              static_cast<unsigned long long>(wl.num_ops),
+              static_cast<unsigned long long>(wl.key_range));
   return 0;
 }
