@@ -74,8 +74,10 @@ struct RecoveryReport {
   int locks_released = 0;     // dead-owned locks the medic sweep released
   int intents_repaired = 0;   // claimable intents found published at attach
   std::uint64_t chunks_freed = 0;    // indices moved to the rebuilt free-list
-  std::uint64_t stale_keys_scrubbed = 0;  // upper-level keys with no home below
-  std::uint64_t chunks_unlinked = 0;      // upper chunks emptied by the scrub
+  std::uint64_t stale_keys_scrubbed = 0;  // upper-level keys the rebuild
+                                          // dropped (no home below)
+  std::uint64_t chunks_zombified = 0;     // upper chunks the rebuild emptied,
+                                          // left linked as zombies
   std::uint64_t generations_repaired = 0;  // reachable odd stamps bumped even
   ValidationReport validation;  // the strict post-recovery check
 };
@@ -339,14 +341,15 @@ class Gfsl {
   /// Quiescent, offline: call on a structure constructed over an *attached*
   /// PersistRegion before serving any operation.  Marks every persisted
   /// lease crashed, replays the §8 intent repairs against the expired
-  /// leases, releases every dead lock, scrubs upper-level keys whose bottom
-  /// home vanished, rebuilds the tagged free-list from the generation
-  /// stamps (live/zombie/limbo/free classification per validate()'s rules —
-  /// an odd-generation chunk is always free, never live), rebuilds the
-  /// per-level chunk gauges, resets the lease table to its canonical state
-  /// and finishes with a *strict* validate().  Idempotent: a second run — or
-  /// a re-run after a recoverer was itself killed mid-repair — converges to
-  /// the bit-identical image.
+  /// leases, releases every dead lock, rebuilds the per-level chunk gauges,
+  /// rebuilds every live upper chunk from the level below with the online
+  /// scrub's repair_upper_chunk (dropping keys whose bottom home vanished),
+  /// rebuilds the tagged free-list from the generation stamps
+  /// (live/zombie/limbo/free classification per validate()'s rules — an
+  /// odd-generation chunk is always free, never live), resets the lease
+  /// table to its canonical state and finishes with a *strict* validate().
+  /// Idempotent: a second run — or a re-run after a recoverer was itself
+  /// killed mid-repair — converges to the bit-identical image.
   RecoveryReport recover();
 
   /// Chunks recycled into the arena free-list since construction.
@@ -520,6 +523,15 @@ class Gfsl {
     Key raised_key;    // key to raise if the coin flip says so
     MovedKeys moved;
   };
+  /// What split_body leaves for its caller: `split_ref`'s successor and the
+  /// fresh chunk, both still locked, and the keys moved into the fresh one.
+  struct SplitBody {
+    ChunkRef fresh = NULL_CHUNK;  // NULL_CHUNK = OOM, nothing touched
+    ChunkRef after = NULL_CHUNK;  // locked successor; NULL_CHUNK at the tail
+    Key thresh = KEY_NEG_INF;     // split_ref's new max
+    MovedKeys moved;
+  };
+  SplitBody split_body(simt::Team& team, ChunkRef split_ref, int level);
   SplitOutcome split_insert(simt::Team& team, ChunkRef split_ref, Key k,
                             Value v, int level);
   /// Split `next_ref` (locked) during a merge; no key inserted.  Returns the
@@ -751,12 +763,6 @@ class Gfsl {
   /// every harness's worker range).
   static constexpr int kRecoveryMedicId = sched::LeaseTable::kMaxTeams - 1;
 
-  /// Scrub pass of recover(): drop every upper-level key that no longer
-  /// exists in the level below and re-home surviving down pointers whose
-  /// target chunk is gone; unlink upper chunks the scrub emptied.  Returns
-  /// through the report fields.
-  void scrub_upper_levels(RecoveryReport& rep);
-
   // ---- integrity scrub internals (scrub.cpp; DESIGN.md §15) ----
   /// Stamp `ref`'s seal for its current contents (call sites: every lock
   /// release, with the lock still held).  One pointer test when detached.
@@ -772,17 +778,38 @@ class Gfsl {
   /// chunk was busy (suspect flag left set for a later pass).  `rep` may be
   /// null (inline read-path resolution).
   bool scrub_chunk(simt::Team& team, ChunkRef ref, ScrubReport* rep);
-  /// Rebuild a damaged upper-level chunk (lock held) from the level below:
-  /// keep entries whose key exists below, re-home unverifiable down
-  /// pointers, drop the rest.  True unless the chunk must be quarantined.
-  bool repair_upper_chunk(simt::Team& team, ChunkRef ref, int level);
+  /// Whether `ref` leads `level`, i.e. holds its -inf key: it is the level
+  /// head, or the first live chunk behind zombie heads that no search has
+  /// swung past yet (a merge moves a head chunk's -inf into its successor
+  /// before skip_zombies swings the head).  Host-side walk from the head.
+  bool leads_level(ChunkRef ref, int level) const;
+  /// What repair_upper_chunk did to one chunk.
+  struct UpperRepair {
+    std::uint64_t dropped = 0;  // slot keys not kept (none below, garbage)
+    bool emptied = false;  // left empty, neither leading nor last: the
+                           // caller zombifies it
+  };
+  /// The one rebuild of an upper-level chunk `ref` (lock held) from the
+  /// level below, used by the online scrub and by recover(): sort and dedup
+  /// the slot keys, keep every key the level below still holds, point it at
+  /// the chunk holding it, put -inf first iff the chunk leads its level, and
+  /// lower a non-last chunk's max to its new top key.  `*below` is a lateral
+  /// cursor on level-1, at or left of every kept key's home; it is left on
+  /// the last home found, so a caller rebuilding a whole level in order
+  /// passes it along and pays O(chunks) for the level.
+  UpperRepair repair_upper_chunk(simt::Team& team, ChunkRef ref, int level,
+                                 ChunkRef* below);
   /// Restore a damaged bottom chunk (lock held) from its version-record
   /// chain; succeeds iff the restored slots re-hash to the stored seal.
   bool repair_bottom_chunk(simt::Team& team, ChunkRef ref);
   /// Quarantine `ref` (lock held): compute the blast radius, zombify (or,
-  /// for a level head, evacuate in place), unseal, report.
+  /// for a leading chunk or a level tail, evacuate in place), unseal,
+  /// report.
   void quarantine_chunk(simt::Team& team, ChunkRef ref, int level,
                         ScrubReport* rep);
+  /// Zombify `ref` (lock held, non-leading, non-last) on `level`: unseal,
+  /// mark, and leave it linked for the lazy-unlink machinery to retire.
+  void zombify(simt::Team& team, ChunkRef ref, int level);
 
   // ---- data ----
   GfslConfig cfg_;
@@ -794,9 +821,10 @@ class Gfsl {
   SnapshotManager* snaps_;
   ForesightIndex* foresight_;
   IntegritySidecar* integrity_;
-  /// Level of every allocated chunk (versioning only stamps level 0);
-  /// allocated iff snaps_ != nullptr.  Written under the chunk's lock (or
-  /// quiescently); racing readers only ever see it for refs they hold.
+  /// Level of every allocated chunk (versioning only stamps level 0; the
+  /// scrub picks its repair by it); allocated iff snaps_ or integrity_ is
+  /// attached.  Written under the chunk's lock (or quiescently); racing
+  /// readers only ever see it for refs they hold.
   std::unique_ptr<std::uint8_t[]> chunk_level_;
   /// Installed commit revision per commit slot (team ids + batch overflow).
   /// A slot is only touched by its owning team (or the single batch driver),

@@ -13,26 +13,30 @@
 //      published intent against the now-expired leases, rolls each half-done
 //      mutation forward or back with the chunk-state-only repairs, releases
 //      every dead-owned lock, and force-quiesces stale epoch pins.
-//   3. Upper-level scrub: a key whose bottom-level home vanished mid-crash
-//      (the raise published before the bottom insert, or an erase peeled the
-//      bottom copy and died before the upper one) is dropped; surviving down
-//      pointers whose target chunk no longer laterally reaches the key's
-//      enclosing chunk are re-homed to the level-below head, from which it
-//      always is.  Upper chunks emptied by the drop are unlinked.
-//   4. Arena normalization: one reachability walk over every level (zombies
-//      included) classifies each index the bump pointer ever handed out —
-//      odd generation or unreachable means free — and rebuilds the tagged
-//      free-list deterministically (ascending pops, tag 0).  A torn
-//      allocation (killed inside alloc_locked's init window) is odd by
-//      construction and therefore always classified free, never live.
-//   5. Canonicalization: lease slots reset to epoch 0, superblock marked
+//   3. Reachability: one walk per level (zombies included) refuses a cycle,
+//      marks every chunk the structure still links and rebuilds the volatile
+//      per-level gauges and chunk levels.
+//   4. Upper-level rebuild: for l = 1, 2, ..., every live chunk of level l
+//      goes through the online scrub's repair_upper_chunk (scrub.cpp) under
+//      the medic's lock, with one lateral cursor carried along level l-1.
+//      A key whose bottom-level home vanished mid-crash (the raise published
+//      before the bottom insert, or an erase peeled the bottom copy and died
+//      before the upper one) is dropped; every kept key's down pointer is
+//      set to the chunk holding it below.  A chunk the rebuild empties is
+//      zombified and left linked, as a zombie any search may meet.
+//   5. Arena normalization: the reachability marks classify each index the
+//      bump pointer ever handed out — odd generation or unreachable means
+//      free — and the tagged free-list is rebuilt deterministically
+//      (ascending pops, tag 0).  A torn allocation (killed inside
+//      alloc_locked's init window) is odd by construction and therefore
+//      always classified free, never live.
+//   6. Canonicalization: lease slots reset to epoch 0, superblock marked
 //      recovered.  This — plus repairs that only ever touch chunk state and
 //      generation bumps that only go even -> odd — is what makes recover()
 //      idempotent: a second run, or a re-run after a recoverer was itself
 //      killed mid-repair, converges to the bit-identical image.
-//   6. A strict validate() gates the result; serving a structure recover()
+//   7. A strict validate() gates the result; serving a structure recover()
 //      did not pass is a caller bug.
-#include <set>
 #include <string>
 #include <vector>
 
@@ -42,154 +46,6 @@
 namespace gfsl::core {
 
 using simt::Team;
-
-namespace {
-
-// Non-empty data entries of `ref`, host-side (quiescent).
-std::vector<KV> data_of(const ChunkArena& arena, ChunkRef ref) {
-  std::vector<KV> out;
-  const std::atomic<KV>* e = arena.entries(ref);
-  for (int i = 0; i < arena.dsize(); ++i) {
-    const KV kv = e[i].load(std::memory_order_acquire);
-    if (!kv_is_empty(kv)) out.push_back(kv);
-  }
-  return out;
-}
-
-}  // namespace
-
-void Gfsl::scrub_upper_levels(RecoveryReport& rep) {
-  // Bottom-up: level l is scrubbed against the *post-scrub* level l-1, so
-  // one pass suffices.  All stores are direct (quiescent, offline); each
-  // chunk rewrite is compacted ascending so the empties-grouped-at-end and
-  // sortedness invariants hold at every intermediate store.
-  std::set<Key> below_keys;
-  std::set<ChunkRef> below_live;
-  {
-    ChunkRef cur = head_[0].load(std::memory_order_acquire);
-    std::set<ChunkRef> seen;
-    while (cur != NULL_CHUNK && seen.insert(cur).second) {
-      const std::atomic<KV>* e = arena_.entries(cur);
-      const KV lk = e[arena_.lock_slot()].load(std::memory_order_acquire);
-      if (lock_entry_state(lk) != kZombie) {
-        below_live.insert(cur);
-        for (const KV kv : data_of(arena_, cur)) {
-          if (kv_key(kv) != KEY_NEG_INF) below_keys.insert(kv_key(kv));
-        }
-      }
-      cur = next_entry_ref(
-          e[arena_.next_slot()].load(std::memory_order_acquire));
-    }
-  }
-
-  for (int l = 1; l < max_levels(); ++l) {
-    const ChunkRef head =
-        head_[static_cast<std::size_t>(l)].load(std::memory_order_acquire);
-    if (head == NULL_CHUNK) break;
-    std::set<Key> kept_keys;
-    std::set<ChunkRef> kept_live;
-
-    // `prev` tracks the last surviving non-zombie chunk: it owns the NEXT
-    // entry that unlinks an emptied successor.
-    ChunkRef prev = NULL_CHUNK;
-    Key prev_max = KEY_NEG_INF;
-    ChunkRef cur = head;
-    std::set<ChunkRef> seen;
-    while (cur != NULL_CHUNK && seen.insert(cur).second) {
-      std::atomic<KV>* e = arena_.entries(cur);
-      const KV nx = e[arena_.next_slot()].load(std::memory_order_acquire);
-      const ChunkRef nxt = next_entry_ref(nx);
-      const KV lk = e[arena_.lock_slot()].load(std::memory_order_acquire);
-      if (lock_entry_state(lk) == kZombie) {
-        // Reachable zombies stay linked (validate accepts linked zombies);
-        // post-restart traversals unlink them organically.
-        cur = nxt;
-        continue;
-      }
-
-      const std::vector<KV> data = data_of(arena_, cur);
-      std::vector<KV> kept;
-      kept.reserve(data.size());
-      for (const KV kv : data) {
-        const Key k = kv_key(kv);
-        if (k != KEY_NEG_INF && below_keys.count(k) == 0) {
-          ++rep.stale_keys_scrubbed;
-          continue;  // no home below: the raise lost its key
-        }
-        // Down-pointer validity (§4.3): from the target, the key's
-        // enclosing chunk below must be laterally reachable.  Re-home to
-        // the level-below head otherwise — the head reaches everything.
-        auto target = static_cast<ChunkRef>(kv_value(kv));
-        bool reaches = false;
-        ChunkRef walk = target;
-        std::set<ChunkRef> wseen;
-        while (walk != NULL_CHUNK && wseen.insert(walk).second) {
-          const std::atomic<KV>* we = arena_.entries(walk);
-          const KV wl = we[arena_.lock_slot()].load(std::memory_order_acquire);
-          const KV wn = we[arena_.next_slot()].load(std::memory_order_acquire);
-          if (lock_entry_state(wl) != kZombie && next_entry_max(wn) >= k) {
-            reaches = below_live.count(walk) != 0;
-            break;
-          }
-          walk = next_entry_ref(wn);
-        }
-        if (!reaches) {
-          target = head_[static_cast<std::size_t>(l - 1)].load(
-              std::memory_order_acquire);
-        }
-        kept.push_back(make_kv(k, static_cast<Value>(target)));
-      }
-
-      if (kept.empty() && nxt != NULL_CHUNK && prev != NULL_CHUNK) {
-        // Emptied non-last chunk: unlink it under recovery's exclusive
-        // ownership (an empty non-last chunk violates validate()).  The
-        // predecessor's max is preserved — unless the unlink makes it the
-        // last chunk, whose max must be inf.
-        e[arena_.lock_slot()].store(make_lock_entry(kZombie),
-                                    std::memory_order_release);
-        persist_point();
-        arena_.entry(prev, arena_.next_slot())
-            .store(make_next_entry(prev_max, nxt), std::memory_order_release);
-        persist_point();
-        ++rep.chunks_unlinked;
-        cur = nxt;
-        continue;
-      }
-
-      // Rewrite the data span if anything changed, compacted ascending.
-      for (std::size_t i = 0; i < kept.size(); ++i) {
-        if (i >= data.size() || data[i] != kept[i]) {
-          e[i].store(kept[i], std::memory_order_release);
-          persist_point();
-        }
-      }
-      for (std::size_t i = kept.size(); i < data.size(); ++i) {
-        e[i].store(KV_EMPTY, std::memory_order_release);
-        persist_point();
-      }
-      // Non-last max must equal the largest key; the scrub can only have
-      // lowered it.  (An emptied *last* chunk keeps max == inf.)
-      if (nxt != NULL_CHUNK && !kept.empty() &&
-          next_entry_max(nx) != kv_key(kept.back())) {
-        e[arena_.next_slot()].store(
-            make_next_entry(kv_key(kept.back()), nxt),
-            std::memory_order_release);
-        persist_point();
-      }
-
-      kept_live.insert(cur);
-      for (const KV kv : kept) {
-        if (kv_key(kv) != KEY_NEG_INF) kept_keys.insert(kv_key(kv));
-      }
-      prev = cur;
-      prev_max = kept.empty() ? prev_max : kv_key(kept.back());
-      cur = nxt;
-    }
-
-    below_keys.swap(kept_keys);
-    below_live.swap(kept_live);
-  }
-}
 
 RecoveryReport Gfsl::recover() {
   RecoveryReport rep;
@@ -266,34 +122,33 @@ RecoveryReport Gfsl::recover() {
     }
   }
 
-  // 3. Drop upper-level keys whose bottom home vanished; re-home surviving
-  // down pointers; unlink emptied upper chunks.
-  scrub_upper_levels(rep);
-
-  // 4. Rebuild the volatile per-level gauges: chunks-in-level counts
-  // non-zombie chunks beyond the first (construction stores 0 with one
-  // chunk in the level).
-  GfslInspector insp(*this);
-  std::set<ChunkRef> reachable;
+  // 3. One reachability walk per level, zombies included.  It refuses a
+  // cyclic level before the rebuild below walks it, marks every chunk the
+  // structure still links, and rebuilds the volatile state only a walk
+  // knows: the per-level gauge (non-zombie chunks beyond the first;
+  // construction stores 0 with one chunk in the level) and the chunk-level
+  // byte array that gates version stamping and picks the scrub's repair.
+  std::vector<bool> reachable(arena_.capacity());
   for (int l = 0; l < max_levels(); ++l) {
-    bool cycle = false;
-    const auto chain = insp.level_chain(l, &cycle);
+    std::int64_t chunks = 0;
+    std::int64_t live = 0;
+    const bool cycle = walk_chain(
+        arena_, head_[static_cast<std::size_t>(l)].load(std::memory_order_acquire),
+        [&](ChunkRef ref) {
+          ++chunks;
+          reachable[ref] = true;
+          set_chunk_level(ref, l);
+          const KV lk = arena_.entry(ref, arena_.lock_slot())
+                            .load(std::memory_order_acquire);
+          if (lock_entry_state(lk) != kZombie) ++live;
+        });
     if (cycle) {
       fail("cycle in level " + std::to_string(l) + " survived recovery");
       return rep;
     }
-    if (chain.empty()) {
+    if (chunks == 0) {
       fail("level " + std::to_string(l) + " lost its head chunk");
       return rep;
-    }
-    std::int64_t live = 0;
-    for (const auto& ch : chain) {
-      reachable.insert(ch.ref);
-      // The chunk-level byte array is volatile; the reachability walk is
-      // the one place that knows every live chunk's level, so rebuild the
-      // bottom-gate for version stamping here.
-      set_chunk_level(ch.ref, l);
-      if (ch.lock != kZombie) ++live;
     }
     level_chunks_[static_cast<std::size_t>(l)].store(
         live - 1, std::memory_order_relaxed);
@@ -303,15 +158,44 @@ RecoveryReport Gfsl::recover() {
         0, std::memory_order_relaxed);
   }
 
+  // 4. Rebuild every live upper chunk from the level below, bottom-up, so
+  // level l is rebuilt against the already rebuilt level l-1.  The one
+  // lateral cursor on level l-1 only moves right along level l's ascending
+  // keys, so a level costs O(chunks).  Every lock was released above, so
+  // try_lock fails only on a zombie.  An emptied chunk stays linked as a
+  // zombie (validate() accepts linked zombies; post-restart searches unlink
+  // and retire it), and zombify() keeps the level gauge exact.
+  for (int l = 1; l < max_levels(); ++l) {
+    ChunkRef below =
+        head_[static_cast<std::size_t>(l - 1)].load(std::memory_order_acquire);
+    ChunkRef cur =
+        head_[static_cast<std::size_t>(l)].load(std::memory_order_acquire);
+    while (cur != NULL_CHUNK) {
+      const ChunkRef next = next_entry_ref(
+          arena_.entry(cur, arena_.next_slot()).load(std::memory_order_acquire));
+      if (try_lock(medic, cur)) {
+        const UpperRepair r = repair_upper_chunk(medic, cur, l, &below);
+        rep.stale_keys_scrubbed += r.dropped;
+        if (r.emptied) {
+          zombify(medic, cur, l);
+          ++rep.chunks_zombified;
+        } else {
+          unlock(medic, cur);
+        }
+      }
+      cur = next;
+    }
+  }
+
   // 4b. Generation triage: a *reachable* chunk with an odd stamp cannot
   // arise from any legal crash interleaving — alloc_locked flips the stamp
   // even before the link that makes the chunk reachable is published, and
   // recycle only runs after the unlink.  It is memory damage in the stamp
   // word itself; left alone, step 5 would push a still-linked chunk onto
   // the free-list and hand its index out for reuse.  Normalize it back to
-  // even (the chunk's contents were already vetted by the scrub above).
-  for (const ChunkRef ref : reachable) {
-    if ((arena_.generation(ref) & 1u) != 0) {
+  // even (the chunk's contents were already vetted by the rebuild above).
+  for (ChunkRef ref = 0; ref < reachable.size(); ++ref) {
+    if (reachable[ref] && (arena_.generation(ref) & 1u) != 0) {
       arena_.force_even_generation(ref);
       persist_point();
       ++rep.generations_repaired;
@@ -329,7 +213,7 @@ RecoveryReport Gfsl::recover() {
   std::vector<ChunkRef> free_refs;
   for (std::uint32_t i = hw; i > 0; --i) {
     const auto ref = static_cast<ChunkRef>(i - 1);
-    if ((arena_.generation(ref) & 1u) != 0 || reachable.count(ref) == 0) {
+    if ((arena_.generation(ref) & 1u) != 0 || !reachable[ref]) {
       free_refs.push_back(ref);
     }
   }

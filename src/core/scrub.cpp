@@ -7,11 +7,12 @@
 // Resolution is strictly conservative:
 //
 //   * upper-level chunks are index-only — rebuild them from the level below
-//     (keep keys that still exist there, re-home their down pointers, drop
-//     the rest).  A dropped genuine key degrades search to the level below;
-//     no user data is at stake.
+//     (keep keys that still exist there, point each at the chunk holding it,
+//     drop the rest).  A dropped genuine key degrades search to the level
+//     below; no user data is at stake.  The rebuild is the same one
+//     recover() runs over every upper chunk (persist_recovery.cpp).
 //   * bottom chunks hold the user's keys — reconstruct the canonical slot
-//     image from the chunk's version-record chain (PR 8 sidecar) and accept
+//     image from the chunk's version-record chain (§13 sidecar) and accept
 //     it IFF it re-hashes to the stored seal.  The seal certifies the
 //     repair: a wrong reconstruction (incomplete chain, bulk-loaded keys
 //     with no records) can never be silently installed.
@@ -21,12 +22,15 @@
 //     chunk that fails its seal again after a successful repair (a stuck-at
 //     cell re-asserting) escalates straight to quarantine.
 //
-// A level head can never be zombified (head_ pointers are not swung by the
-// online protocol), and neither can a level TAIL: every zombie-skip in the
-// traversal assumes a zombie has a live successor to follow, but the last
-// chunk's next ref is NULL_CHUNK.  Both are evacuated in place instead —
-// data slots reset (heads keep the -inf sentinel), blast radius =
-// everything they held.
+// -inf lives in the chunk that leads its level (leads_level): the head, or
+// the first live chunk behind zombie heads no search has swung past yet —
+// merging a head chunk moves -inf into its successor before any search
+// swings the head.  Every rebuild here puts -inf there and nowhere else.
+// A leading chunk can never be zombified (its level would lose -inf), and
+// neither can a level TAIL: every zombie-skip in the traversal assumes a
+// zombie has a live successor to follow, but the last chunk's next ref is
+// NULL_CHUNK.  Both are evacuated in place instead — data slots reset (a
+// leading chunk keeps -inf), blast radius = everything they held.
 #include "core/gfsl.h"
 
 #include <algorithm>
@@ -124,64 +128,119 @@ bool Gfsl::scrub_chunk(Team& team, ChunkRef ref, ScrubReport* rep) {
   // memory itself is bad, quarantine instead of repairing forever.
   const bool first_offense = integrity_->note_repair(ref) <= 1;
   bool fixed = false;
-  if (first_offense) {
-    fixed = level == 0 ? repair_bottom_chunk(team, ref)
-                       : repair_upper_chunk(team, ref, level);
+  bool emptied = false;
+  if (first_offense && level == 0) {
+    fixed = repair_bottom_chunk(team, ref);
+  } else if (first_offense) {
+    ChunkRef below =
+        head_[static_cast<std::size_t>(level - 1)].load(std::memory_order_acquire);
+    emptied = repair_upper_chunk(team, ref, level, &below).emptied;
+    fixed = true;
   }
-  if (fixed) {
-    team.metric(obs::kCorruptionChunksRepaired);
-    if (rep != nullptr) ++rep->repaired;
-    integrity_->clear_suspect(ref);
-    unlock(team, ref);  // restamps the seal over the repaired slots
-  } else {
+  if (!fixed) {
     quarantine_chunk(team, ref, level, rep);
+    return true;
+  }
+  team.metric(obs::kCorruptionChunksRepaired);
+  if (rep != nullptr) ++rep->repaired;
+  integrity_->clear_suspect(ref);
+  if (emptied) {
+    zombify(team, ref, level);  // an index chunk: nothing of the user's lost
+  } else {
+    unlock(team, ref);  // restamps the seal over the repaired slots
   }
   return true;
 }
 
-bool Gfsl::repair_upper_chunk(Team& team, ChunkRef ref, int level) {
-  const Key hi = next_entry_max(
-      arena_.entry(ref, arena_.next_slot()).load(std::memory_order_acquire));
-  const bool is_head =
-      ref ==
+bool Gfsl::leads_level(ChunkRef ref, int level) const {
+  ChunkRef cur =
       head_[static_cast<std::size_t>(level)].load(std::memory_order_acquire);
-  const ChunkRef below_head =
-      head_[static_cast<std::size_t>(level - 1)].load(std::memory_order_acquire);
+  for (std::uint32_t steps = 0; cur != ref && steps < arena_.capacity();
+       ++steps) {
+    if (cur == NULL_CHUNK) return false;
+    const std::atomic<KV>* e = arena_.entries(cur);
+    if (lock_entry_state(e[arena_.lock_slot()].load(
+            std::memory_order_acquire)) != kZombie) {
+      return false;
+    }
+    cur = next_entry_ref(e[arena_.next_slot()].load(std::memory_order_acquire));
+  }
+  return cur == ref;
+}
 
-  // Keep every index key the level below still vouches for, re-homed to the
-  // chunk actually holding it (a valid down target by §4.3: the enclosing
-  // chunk is laterally reachable from itself).  Everything else — garbage
-  // keys, out-of-range keys, keys whose bottom home vanished — is dropped;
-  // a dropped genuine key is the legal stale-upper-key state inverted and
-  // only costs one extra lateral step to searches.
-  std::vector<std::pair<Key, Value>> kept;
+void Gfsl::zombify(Team& team, ChunkRef ref, int level) {
+  // Terminal zombify under the held lock; the lazy-unlink machinery
+  // (lock_next_chunk / redirect_to_remove_zombie) removes and retires it.
+  if (integrity_ != nullptr) integrity_->unseal(ref);
+  mark_zombie(team, ref);
+  bump_level(level, -1);
+  if (foresight_ != nullptr && level == 0) foresight_->mark_dirty();
+}
+
+Gfsl::UpperRepair Gfsl::repair_upper_chunk(Team& team, ChunkRef ref,
+                                           int level, ChunkRef* below) {
+  UpperRepair out;
+  const KV next_kv =
+      arena_.entry(ref, arena_.next_slot()).load(std::memory_order_acquire);
+  const Key hi = next_entry_max(next_kv);
+
+  // Damaged slots can be out of order: sort and dedup the keys first, so
+  // the lateral cursor below only ever moves right.
+  std::vector<Key> keys;
   for (int s = 0; s < arena_.dsize(); ++s) {
     const KV e = arena_.entry(ref, s).load(std::memory_order_acquire);
-    if (kv_is_empty(e)) continue;
-    const Key k = kv_key(e);
-    if (k < MIN_USER_KEY || k > MAX_USER_KEY || k > hi) continue;
-    const auto [found, home] = find_lateral(team, k, below_head, level - 1);
-    if (!found) continue;
-    kept.emplace_back(k, static_cast<Value>(home));
+    if (!kv_is_empty(e) && kv_key(e) != KEY_NEG_INF) keys.push_back(kv_key(e));
   }
-  std::sort(kept.begin(), kept.end());
-  kept.erase(std::unique(kept.begin(), kept.end(),
-                         [](const auto& a, const auto& b) {
-                           return a.first == b.first;
-                         }),
-             kept.end());
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
 
+  // Rewrite the slots in place, ascending, storing only what changed.
   int slot = 0;
-  if (is_head) {
-    const Value down = static_cast<Value>(below_head);
-    write_entry(team, ref, slot++, make_kv(KEY_NEG_INF, down));
+  auto put = [&](KV kv) {
+    if (arena_.entry(ref, slot).load(std::memory_order_acquire) != kv) {
+      write_entry(team, ref, slot, kv);
+    }
+    ++slot;
+  };
+  if (leads_level(ref, level)) {
+    put(make_kv(KEY_NEG_INF,
+                static_cast<Value>(head_[static_cast<std::size_t>(level - 1)]
+                                       .load(std::memory_order_acquire))));
   }
-  for (const auto& [k, v] : kept) {
-    if (slot >= arena_.dsize()) break;  // truncation is index-only loss
-    write_entry(team, ref, slot++, make_kv(k, v));
+  // Keep every key the level below still holds, pointing at the chunk that
+  // holds it — the key's enclosing chunk, the most precise down target §4.3
+  // allows.  Everything else — garbage, keys beyond the max, keys whose home
+  // below vanished — is dropped; a dropped genuine key is the legal
+  // stale-upper-key state inverted and only costs searches a lateral step.
+  Key top = KEY_NEG_INF;
+  for (const Key k : keys) {
+    if (k >= MIN_USER_KEY && k <= MAX_USER_KEY && k <= hi &&
+        slot < arena_.dsize()) {
+      const auto [found, home] = find_lateral(team, k, *below, level - 1);
+      *below = home;
+      if (found) {
+        put(make_kv(k, static_cast<Value>(home)));
+        top = k;
+        continue;
+      }
+    }
+    ++out.dropped;
   }
-  while (slot < arena_.dsize()) write_entry(team, ref, slot++, KV_EMPTY);
-  return true;
+  const bool empty = slot == 0;
+  while (slot < arena_.dsize()) put(KV_EMPTY);
+
+  // The last chunk keeps max inf, empty or not.  Any other chunk's max must
+  // be its largest key: lower it, or report an empty chunk (one that holds
+  // neither keys nor -inf) for the caller to zombify.
+  const ChunkRef next = next_entry_ref(next_kv);
+  if (next == NULL_CHUNK) return out;
+  if (empty) {
+    out.emptied = true;
+  } else if (top != hi) {
+    atomic_entry_write(team, ref, arena_.next_slot(),
+                       make_next_entry(top, next));
+  }
+  return out;
 }
 
 bool Gfsl::repair_bottom_chunk(Team& team, ChunkRef ref) {
@@ -208,11 +267,9 @@ bool Gfsl::repair_bottom_chunk(Team& team, ChunkRef ref) {
   }
   std::sort(live.begin(), live.end());
 
-  const bool is_head =
-      ref == head_[0].load(std::memory_order_acquire);
   std::vector<KV> cand(static_cast<std::size_t>(arena_.dsize()), KV_EMPTY);
   std::size_t slot = 0;
-  if (is_head) cand[slot++] = make_kv(KEY_NEG_INF, Value{0});
+  if (leads_level(ref, 0)) cand[slot++] = make_kv(KEY_NEG_INF, Value{0});
   if (live.size() > cand.size() - slot) return false;
   for (const auto& [k, v] : live) cand[slot++] = make_kv(k, v);
 
@@ -234,21 +291,21 @@ void Gfsl::quarantine_chunk(Team& team, ChunkRef ref, int level,
   const KV next_kv =
       arena_.entry(ref, arena_.next_slot()).load(std::memory_order_acquire);
   const Key hi = next_entry_max(next_kv);
-  const ChunkRef head =
-      head_[static_cast<std::size_t>(level)].load(std::memory_order_acquire);
+  const bool leads = leads_level(ref, level);
 
   // Blast radius: keys in (pred_max, my_max] resident here are gone.  Only
   // the bottom level loses user data — an upper chunk is index-only, its
   // keys all still live below.
   Key lo = KEY_NEG_INF;
-  if (ref != head) {
+  if (!leads) {
     // Walk to the victim tracking the max of the last LIVE chunk before it:
     // a zombie predecessor's keys were already merged rightward (possibly
     // into this very victim), so its max does not bound the victim's
     // envelope — e.g. [A max=6] -> [Z max=15] -> [victim {12,18,24}] holds
     // (6, 24], not (15, 24].  If the walk never reaches the victim (the
     // chain itself is damaged) lo stays at -inf: over-report, never under.
-    ChunkRef cur = head;
+    ChunkRef cur =
+        head_[static_cast<std::size_t>(level)].load(std::memory_order_acquire);
     Key last_live = KEY_NEG_INF;
     std::uint32_t steps = 0;
     while (cur != NULL_CHUNK && steps++ < arena_.capacity()) {
@@ -270,17 +327,15 @@ void Gfsl::quarantine_chunk(Team& team, ChunkRef ref, int level,
   }
   team.metric(obs::kCorruptionChunksQuarantined);
   if (rep != nullptr) ++rep->quarantined;
-  integrity_->unseal(ref);
 
-  if (ref == head || next_entry_ref(next_kv) == NULL_CHUNK) {
-    // Heads cannot be zombified (head_ pointers are never swung), and
+  if (leads || next_entry_ref(next_kv) == NULL_CHUNK) {
+    // A leading chunk cannot be zombified (its level would lose -inf), and
     // neither can a level tail: zombie-skip follows the zombie's next ref,
-    // which for the last chunk is NULL_CHUNK.  Evacuate in place instead.
-    // The stored max stays — an empty chunk with max `hi` is a legal
-    // enclosing chunk that simply contains nothing, and an empty last chunk
-    // (max inf) is the structure's normal drained state.
+    // which for the last chunk is NULL_CHUNK.  Evacuate in place instead;
+    // an empty last chunk (max inf) is the structure's normal drained state.
+    integrity_->unseal(ref);
     int s = 0;
-    if (ref == head) {
+    if (leads) {
       const Value down =
           level == 0 ? Value{0}
                      : static_cast<Value>(
@@ -289,6 +344,14 @@ void Gfsl::quarantine_chunk(Team& team, ChunkRef ref, int level,
       write_entry(team, ref, s++, make_kv(KEY_NEG_INF, down));
     }
     for (; s < arena_.dsize(); ++s) write_entry(team, ref, s, KV_EMPTY);
+    // A leading chunk that is not last now holds -inf alone.  Without
+    // version records its max must equal that top key; with them it stays
+    // at `hi`, covering the chain records older snapshots still read.
+    if (snaps_ == nullptr && next_entry_ref(next_kv) != NULL_CHUNK) {
+      atomic_entry_write(
+          team, ref, arena_.next_slot(),
+          make_next_entry(KEY_NEG_INF, next_entry_ref(next_kv)));
+    }
     if (level == 0 && snaps_ != nullptr) {
       // The chunk stays live, so its version chain stays reachable: stamp
       // the evacuated keys' live records erased at the quarantine revision.
@@ -319,11 +382,7 @@ void Gfsl::quarantine_chunk(Team& team, ChunkRef ref, int level,
     unlock(team, ref);  // restamps over the evacuated slots
     return;
   }
-  // Terminal zombify under the held lock; the lazy-unlink machinery
-  // (lock_next_chunk / redirect_to_remove_zombie) removes and retires it.
-  mark_zombie(team, ref);
-  bump_level(level, -1);
-  if (foresight_ != nullptr && level == 0) foresight_->mark_dirty();
+  zombify(team, ref, level);
 }
 
 }  // namespace gfsl::core

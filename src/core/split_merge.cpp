@@ -8,27 +8,27 @@ namespace gfsl::core {
 using simt::LaneVec;
 using simt::Team;
 
-/// Core split: allocate a fresh chunk, copy the top DSIZE/2 entries into it,
-/// publish it with one atomic NEXT write, and empty the moved entries.
-/// Shared by insert-splits and merge-splits; the caller owns `split_ref`'s
-/// lock and the lock of the chunk after it (via lock_next_chunk).  The fresh
-/// chunk is returned still locked.
-Gfsl::MovedKeys Gfsl::split_remove(Team& team, ChunkRef next_ref, int level) {
-  team.record(simt::TraceEvent::kSplit, next_ref, static_cast<std::uint64_t>(level));
+/// The split body (Algorithm 4.9 lines 23-33), shared by insert-splits and
+/// merge-splits: allocate a fresh chunk, lock `split_ref`'s successor
+/// (preSplit), copy the top DSIZE/2 entries into the fresh chunk, publish it
+/// with one atomic NEXT write, and empty the moved entries.  The caller owns
+/// `split_ref`'s lock; the body returns with the fresh chunk and the
+/// successor still locked.  On allocation failure nothing was locked or
+/// modified and `fresh` is NULL_CHUNK.
+Gfsl::SplitBody Gfsl::split_body(Team& team, ChunkRef split_ref, int level) {
+  team.record(simt::TraceEvent::kSplit, split_ref, static_cast<std::uint64_t>(level));
+  SplitBody out;
   // Allocate before taking any further lock: exhaustion then unwinds
-  // without having touched the structure (the caller still holds next_ref).
-  const ChunkRef fresh = alloc_chunk(team);
-  if (fresh == NULL_CHUNK) {
-    MovedKeys failed;
-    failed.ok = false;
-    return failed;
-  }
+  // without having touched the structure (the caller still holds split_ref).
+  out.fresh = alloc_chunk(team);
+  if (out.fresh == NULL_CHUNK) return out;
+  const ChunkRef fresh = out.fresh;
   set_chunk_level(fresh, level);
-  const ChunkRef after = lock_next_chunk(team, next_ref);
-  const LaneVec<KV> skv = read_chunk(team, next_ref);
+  out.after = lock_next_chunk(team, split_ref);
+  const LaneVec<KV> skv = read_chunk(team, split_ref);
   const int dsz = team.dsize();
   const int half = dsz / 2;
-  const Key thresh = kv_key(team.shfl(skv, half - 1));
+  out.thresh = kv_key(team.shfl(skv, half - 1));
   const Key old_max = max_of(team, skv);
   const ChunkRef old_next = next_of(team, skv);
 
@@ -49,15 +49,16 @@ Gfsl::MovedKeys Gfsl::split_remove(Team& team, ChunkRef next_ref, int level) {
   // entries: copied into the fresh chunk's chain while it is still private.
   // A crash here merely leaks the fresh chunk — records included, purged
   // when the chunk is reclaimed.  The copy is idempotent under replay.
-  copy_version_records(team, next_ref, fresh, thresh, old_max, level);
+  copy_version_records(team, split_ref, fresh, out.thresh, old_max, level);
 
   // Publish: new max + new next pointer in a single atomic write (§4.2.2).
   // This is the split span's first destructive store: before it, the fresh
   // chunk is unreachable and a crash merely leaks it; after it, recovery
   // rolls forward by finishing the tail clearing below.
-  publish_intent(team, IntentKind::kSplit, thresh, next_ref, after, fresh);
-  atomic_entry_write(team, next_ref, arena_.next_slot(),
-                     make_next_entry(thresh, fresh));
+  publish_intent(team, IntentKind::kSplit, out.thresh, split_ref, out.after,
+                 fresh);
+  atomic_entry_write(team, split_ref, arena_.next_slot(),
+                     make_next_entry(out.thresh, fresh));
   // The donor's coverage just shrank to (.., thresh]: hints for the moved
   // span now land a chunk early (harmless, one extra lateral hop) — erode
   // the table toward its next rebuild.
@@ -67,92 +68,58 @@ Gfsl::MovedKeys Gfsl::split_remove(Team& team, ChunkRef next_ref, int level) {
   // to the NEXT lane's (already lowered) max, so stale high entries are
   // never considered (§4.2.2).
   for (int i = dsz - 1; i >= half; --i) {
-    atomic_entry_write(team, next_ref, i, KV_EMPTY);
+    atomic_entry_write(team, split_ref, i, KV_EMPTY);
   }
   clear_intent(team);
   // The donor's chain still holds the moved keys' records; now that its max
   // dropped to `thresh` they are out-of-range there and prunable.
-  maybe_prune_records(team, next_ref);
+  maybe_prune_records(team, split_ref);
 
-  MovedKeys moved;
-  moved.count = half;
-  moved.moved_to = fresh;
-  for (int i = 0; i < half; ++i) moved.keys[i] = kv_key(skv[half + i]);
+  out.moved.count = half;
+  out.moved.moved_to = fresh;
+  for (int i = 0; i < half; ++i) out.moved.keys[i] = kv_key(skv[half + i]);
+  return out;
+}
 
-  unlock(team, fresh);
-  if (after != NULL_CHUNK) unlock(team, after);
-  return moved;
+Gfsl::MovedKeys Gfsl::split_remove(Team& team, ChunkRef next_ref, int level) {
+  SplitBody s = split_body(team, next_ref, level);
+  if (s.fresh == NULL_CHUNK) {
+    s.moved.ok = false;
+    return s.moved;
+  }
+  unlock(team, s.fresh);
+  if (s.after != NULL_CHUNK) unlock(team, s.after);
+  return s.moved;
 }
 
 Gfsl::SplitOutcome Gfsl::split_insert(Team& team, ChunkRef split_ref, Key k,
                                       Value v, int level) {
-  team.record(simt::TraceEvent::kSplit, split_ref, static_cast<std::uint64_t>(level));
-  // Allocate first: on exhaustion nothing is locked or modified yet, so the
-  // caller gets its untouched, still-locked input chunk back.
-  const ChunkRef fresh = alloc_chunk(team);
-  if (fresh == NULL_CHUNK) {
-    SplitOutcome oom;
-    oom.locked = split_ref;
-    oom.fresh = NULL_CHUNK;
-    return oom;
-  }
-  set_chunk_level(fresh, level);
-  // preSplit: lock the successor so it cannot merge away mid-split.
-  const ChunkRef after = lock_next_chunk(team, split_ref);
-  const LaneVec<KV> skv = read_chunk(team, split_ref);
-  const int dsz = team.dsize();
-  const int half = dsz / 2;
-  const Key thresh = kv_key(team.shfl(skv, half - 1));
-  const Key old_max = max_of(team, skv);
-  const ChunkRef old_next = next_of(team, skv);
-
-  // splitCopy (Algorithm 4.9 lines 23-33).
-  sync_point(team);
-  for (int i = half; i < dsz; ++i) {
-    arena_.entry(fresh, i - half).store(skv[i], std::memory_order_relaxed);
-  }
-  arena_.entry(fresh, arena_.next_slot())
-      .store(make_next_entry(old_max, old_next), std::memory_order_relaxed);
-  mem_->warp_write(arena_.device_address(fresh),
-                   static_cast<std::uint32_t>(half + 1) * 8u);
-  team.step();
-
-  // Moved-span records travel with the entries while `fresh` is private
-  // (same protocol as split_remove above).
-  copy_version_records(team, split_ref, fresh, thresh, old_max, level);
-
-  publish_intent(team, IntentKind::kSplit, thresh, split_ref, after, fresh);
-  atomic_entry_write(team, split_ref, arena_.next_slot(),
-                     make_next_entry(thresh, fresh));
-  if (foresight_ != nullptr && level == 0) foresight_->mark_dirty();
-  for (int i = dsz - 1; i >= half; --i) {
-    atomic_entry_write(team, split_ref, i, KV_EMPTY);
-  }
-  clear_intent(team);
-  maybe_prune_records(team, split_ref);
-
+  const SplitBody s = split_body(team, split_ref, level);
   SplitOutcome out;
-  out.fresh = fresh;
-  out.moved.count = half;
-  out.moved.moved_to = fresh;
-  for (int i = 0; i < half; ++i) out.moved.keys[i] = kv_key(skv[half + i]);
+  out.fresh = s.fresh;
+  if (s.fresh == NULL_CHUNK) {
+    // Exhaustion: the caller gets its untouched, still-locked chunk back.
+    out.locked = split_ref;
+    return out;
+  }
+  out.moved = s.moved;
   const Key min_new = out.moved.keys[0];
 
   // insertNewData: the key lands in whichever side now encloses it.  The
   // side holding k stays locked (at level 0 it carries the bottom lock for
   // the rest of the Insert); the other side is released.
-  if (k <= thresh) {
+  if (k <= s.thresh) {
     const LaneVec<KV> cur = read_chunk(team, split_ref);
     execute_insert(team, split_ref, cur, k, v);
     out.locked = split_ref;
-    unlock(team, fresh);
+    unlock(team, s.fresh);
   } else {
-    const LaneVec<KV> cur = read_chunk(team, fresh);
-    execute_insert(team, fresh, cur, k, v);
-    out.locked = fresh;
+    const LaneVec<KV> cur = read_chunk(team, s.fresh);
+    execute_insert(team, s.fresh, cur, k, v);
+    out.locked = s.fresh;
     unlock(team, split_ref);
   }
-  if (after != NULL_CHUNK) unlock(team, after);
+  if (s.after != NULL_CHUNK) unlock(team, s.after);
 
   // keyForNextLevel (§4.2.2): at level 0 raise max(k, minK) — raising minK
   // directly would need a fresh traversal; above level 0 only the key that

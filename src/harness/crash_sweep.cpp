@@ -121,6 +121,7 @@ CrashRunResult run_crash_at(const CrashSweepConfig& cfg,
     (void)run_gfsl(sl, ops, rc, stack.mem());
   }
   res.steps = sched.global_steps();
+  res.victim_last_yield = sched.last_yield(cfg.victim);
   res.victim_killed = sched.killed(cfg.victim);
   // Survivors only die via the watchdog: the run livelocked.
   bool hang = false;
@@ -220,11 +221,14 @@ CrashSweepResult run_crash_sweep(const CrashSweepConfig& cfg,
   const std::uint64_t watchdog =
       base.steps * cfg.watchdog_factor + cfg.watchdog_slack;
   const std::uint64_t stride = cfg.stride == 0 ? 1 : cfg.stride;
+  // A kill armed after the victim's last yield never lands: that run would
+  // only repeat the baseline.
+  const std::uint64_t last = base.victim_last_yield;
   const std::uint64_t report_every =
-      (base.steps / stride) / 10 + 1;  // ~10 progress lines
+      (last / stride) / 10 + 1;  // ~10 progress lines
 
   std::uint64_t since_report = 0;
-  for (std::uint64_t s = 1; s <= base.steps; s += stride) {
+  for (std::uint64_t s = 1; s <= last; s += stride) {
     const auto r = run_crash_at(cfg, s, watchdog, reg);
     ++out.runs;
     if (r.victim_killed) ++out.kills_landed;
@@ -242,7 +246,7 @@ CrashSweepResult run_crash_sweep(const CrashSweepConfig& cfg,
                    "  crash-sweep %llu/%llu steps (%llu kills landed, "
                    "%llu medic recoveries)\n",
                    static_cast<unsigned long long>(s),
-                   static_cast<unsigned long long>(base.steps),
+                   static_cast<unsigned long long>(last),
                    static_cast<unsigned long long>(out.kills_landed),
                    static_cast<unsigned long long>(out.medic_recoveries));
       std::fflush(progress);

@@ -1,11 +1,12 @@
 // Exhaustive crash-point sweep: the strongest robustness harness in the repo.
 //
 // One seeded multi-team run under StepScheduler::Deterministic defines a
-// reference interleaving with S global yield steps.  The sweep then re-runs
-// that exact schedule S times, killing the victim team at yield step
-// 1, 2, ..., S — so the victim dies at *every* reachable point of the
-// reference run, including inside insert-shift, erase-shift, split, merge
-// and updateDownPtrs critical sections.  After each kill:
+// reference interleaving with S global yield steps, of which the victim's
+// last is step V <= S.  The sweep then re-runs that exact schedule V times,
+// killing the victim team at yield step 1, 2, ..., V — so the victim dies at
+// *every* reachable point of the reference run, including inside
+// insert-shift, erase-shift, split, merge and updateDownPtrs critical
+// sections (a kill armed past V would never land).  After each kill:
 //
 //   * survivors keep running: expired-lease probing (core/recovery.cpp)
 //     lets them roll the victim's half-done mutation forward or back and
@@ -91,6 +92,8 @@ struct CrashRunResult {
   bool victim_killed = false;  // the kill actually landed (victim was alive)
   bool snapshot_checked = false;  // the held snapshot was scanned and matched
   std::uint64_t steps = 0;     // global yield steps the run consumed
+  std::uint64_t victim_last_yield = 0;  // global step of the victim's last
+                                        // yield
   int locks_recovered = 0;     // dead locks released by the post-run medic
 };
 
@@ -116,7 +119,8 @@ CrashRunResult run_crash_at(const CrashSweepConfig& cfg,
                             obs::MetricsRegistry* reg = nullptr);
 
 /// The full sweep: a baseline run to count yield steps, then one run per
-/// kill step.  Stops at the first failing step.  If `progress` is non-null,
+/// kill step up to the victim's last yield.  Stops at the first failing
+/// step.  If `progress` is non-null,
 /// prints a coarse progress line every ~10% of the sweep.
 CrashSweepResult run_crash_sweep(const CrashSweepConfig& cfg,
                                  obs::MetricsRegistry* reg = nullptr,

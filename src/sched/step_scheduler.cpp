@@ -17,6 +17,7 @@ StepScheduler::StepScheduler(Mode mode, std::uint64_t seed, int participants)
   kill_step_.assign(static_cast<std::size_t>(n_),
                     std::numeric_limits<std::uint64_t>::max());
   killed_.assign(static_cast<std::size_t>(n_), false);
+  last_yield_.assign(static_cast<std::size_t>(n_), 0);
 }
 
 void StepScheduler::enter(int id) {
@@ -47,6 +48,7 @@ void StepScheduler::yield(int id) {
     return;
   }
   ++steps_;
+  last_yield_[static_cast<std::size_t>(id)] = steps_;
   if (steps_ >= kill_step_[static_cast<std::size_t>(id)]) {
     // Deactivate and hand the baton on before unwinding.  The lease is
     // marked crashed here, under mu_, so peers observe the death at a
@@ -81,6 +83,12 @@ bool StepScheduler::killed(int id) const {
   if (id < 0 || id >= n_) return false;
   std::lock_guard<std::mutex> lk(mu_);
   return killed_[static_cast<std::size_t>(id)];
+}
+
+std::uint64_t StepScheduler::last_yield(int id) const {
+  if (id < 0 || id >= n_) return 0;
+  std::lock_guard<std::mutex> lk(mu_);
+  return last_yield_[static_cast<std::size_t>(id)];
 }
 
 void StepScheduler::kill_at(int id, std::uint64_t step) {

@@ -93,6 +93,11 @@ class StepScheduler {
 
   std::uint64_t global_steps() const { return steps_; }
 
+  /// Global step of participant `id`'s last scheduled yield (0 before its
+  /// first).  A kill armed for a later step never lands, so a crash sweep
+  /// over a baseline run needs kill steps only up to this one.
+  std::uint64_t last_yield(int id) const;
+
   /// Whether a kill has landed on participant `id`.  Recorded under the
   /// scheduler mutex at the kill step itself, before the victim unwinds, so
   /// a peer that asks (the batch runner's launch barrier) learns of the
@@ -118,6 +123,7 @@ class StepScheduler {
   std::vector<bool> waiting_;  // participant is blocked in enter()/yield()
   std::vector<std::uint64_t> kill_step_;  // UINT64_MAX = never
   std::vector<bool> killed_;   // a kill has landed on the participant
+  std::vector<std::uint64_t> last_yield_;  // steps_ at its latest yield
   int granted_ = -1;           // participant currently allowed to run
   int n_ = 0;
   int entered_ = 0;            // participants that have called enter()

@@ -406,6 +406,8 @@ TEST(CrashSweepBatched, BatchedSweepWithEpochPins) {
   EXPECT_TRUE(res.ok) << "kill step " << res.failed_at_step << ": "
                       << res.error;
   EXPECT_GT(res.kills_landed, 0u);
+  // The sweep stops at the victim's last yield, so every run kills it.
+  EXPECT_EQ(res.kills_landed, res.runs);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@
 //     exact blast radius, and the armed structure answers exactly like a
 //     detached one on undamaged runs.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -327,6 +330,243 @@ TEST(IntegrityLive, ScrubRepairsUpperChunkFromLevelBelow) {
   std::map<Key, Value> got;
   for (const auto& [k, v] : f.sl.collect()) got[k] = v;
   EXPECT_EQ(got, model);
+}
+
+// --- The leading chunk: -inf after a head merge ------------------------------
+//
+// Merging a level's head chunk moves -inf into its successor, and the head
+// pointer swings past the zombie only when a later search meets it.  Until
+// then the successor leads its level, and every repair or quarantine must
+// keep -inf there.
+
+/// Live chunks of `level` in chain order (the first one leads the level).
+std::vector<ChunkView> live_chain(const Gfsl& sl, int level) {
+  GfslInspector insp(sl);
+  bool cycle = false;
+  std::vector<ChunkView> out;
+  for (const auto& v : insp.level_chain(level, &cycle)) {
+    if (v.lock != kZombie) out.push_back(v);
+  }
+  EXPECT_FALSE(cycle);
+  return out;
+}
+
+/// Overwrite the data slot of `ref` holding key `from` with key `to`,
+/// keeping the slot's value (an upper entry keeps its down pointer).
+void rekey_slot(Gfsl& sl, ChunkRef ref, Key from, Key to) {
+  auto* entries = const_cast<std::atomic<KV>*>(sl.arena().entries(ref));
+  for (int s = 0; s < sl.arena().dsize(); ++s) {
+    const KV kv = entries[s].load(std::memory_order_acquire);
+    if (!kv_is_empty(kv) && kv_key(kv) == from) {
+      entries[s].store(make_kv(to, kv_value(kv)), std::memory_order_release);
+      return;
+    }
+  }
+  ADD_FAILURE() << "chunk " << ref << " does not hold key " << from;
+}
+
+/// Largest user key of a chunk view (KEY_NEG_INF when it holds none).
+Key top_key(const ChunkView& v) {
+  Key top = KEY_NEG_INF;
+  for (const KV kv : v.data) top = std::max(top, kv_key(kv));
+  return top;
+}
+
+/// Empty the bottom head chunk by erasing its smallest keys until the erase
+/// merges it away: the head is then a zombie and -inf sits in its successor.
+/// Returns that successor.
+ChunkRef zombify_bottom_head(ArmoredFixture& f, std::map<Key, Value>& model) {
+  GfslInspector insp(f.sl);
+  const ChunkRef head = insp.head(0).load();
+  for (int guard = 0; guard < 16 && insp.view(head).lock != kZombie; ++guard) {
+    f.sl.erase(f.team, model.begin()->first);
+    model.erase(model.begin());
+  }
+  EXPECT_EQ(insp.view(head).lock, kZombie) << "the head chunk never merged";
+  EXPECT_EQ(insp.head(0).load(), head) << "a search swung the head already";
+  return live_chain(f.sl, 0).front().ref;
+}
+
+TEST(IntegrityLeading, UpperRepairLowersTheMaxOfAShrunkChunk) {
+  // Integrity only: without snapshots the max of a non-last chunk must
+  // equal its largest key.  Damage the top key of a non-leading, non-last
+  // level-1 chunk into a key the level below does not hold: the repair
+  // drops it and must lower the max to the new top key.
+  device::DeviceMemory mem;
+  IntegritySidecar integrity;
+  Gfsl sl(small_cfg(), &mem, nullptr, nullptr, nullptr, nullptr, nullptr,
+          nullptr, &integrity);
+  simt::Team team(8, 0, 3);
+  std::map<Key, Value> model;
+  for (Key k = 1; k <= 600; ++k) {
+    sl.insert(team, k * 2, k);
+    model[k * 2] = k;
+  }
+  const auto chain = live_chain(sl, 1);
+  ASSERT_GE(chain.size(), 3u);
+  const ChunkView& victim = chain[1];  // chain[0] leads level 1
+  ASSERT_NE(victim.next, NULL_CHUNK);
+  ASSERT_GE(victim.data.size(), 2u);
+  const Key top = top_key(victim);
+  rekey_slot(sl, victim.ref, top, top - 1);
+
+  const ScrubReport rep = sl.scrub_pass(team);
+  EXPECT_EQ(rep.mismatches, 1u);
+  EXPECT_EQ(rep.repaired, 1u);
+  const auto v = sl.validate(false);
+  ASSERT_TRUE(v.ok) << v.error;
+  GfslInspector insp(sl);
+  EXPECT_LT(insp.view(victim.ref).max, top);
+  const auto pairs = sl.collect();
+  const std::map<Key, Value> got(pairs.begin(), pairs.end());
+  EXPECT_EQ(got, model);
+}
+
+TEST(IntegrityLeading, UpperRepairKeepsInfInTheChunkBehindAZombieHead) {
+  ArmoredFixture f;
+  std::map<Key, Value> model;
+  for (Key k = 1; k <= 600; ++k) {
+    f.sl.insert(f.team, k * 2, k);
+    model[k * 2] = k;
+  }
+  for (const Key k : {Key{12}, Key{18}}) {
+    f.sl.erase(f.team, k);
+    model.erase(k);
+  }
+  GfslInspector insp(f.sl);
+  ASSERT_EQ(insp.view(insp.head(1).load()).lock, kZombie)
+      << "erasing 12 and 18 no longer merges the level-1 head";
+  const ChunkView lead = live_chain(f.sl, 1).front();
+  ASSERT_FALSE(lead.data.empty());
+  ASSERT_EQ(kv_key(lead.data.front()), KEY_NEG_INF);
+  ASSERT_NE(lead.next, NULL_CHUNK);
+  const Key top = top_key(lead);
+  rekey_slot(f.sl, lead.ref, top, top + 1);
+
+  const ScrubReport rep = f.sl.scrub_pass(f.team);
+  EXPECT_EQ(rep.repaired, 1u);
+  const auto v = f.sl.validate(false);
+  EXPECT_TRUE(v.ok) << v.error;  // the sweep below runs either way
+  const ChunkView after = insp.view(lead.ref);
+  EXPECT_TRUE(!after.data.empty() &&
+              kv_key(after.data.front()) == KEY_NEG_INF)
+      << "the repair dropped -inf from the leading chunk";
+
+  // Without -inf every search for a small key has no predecessor to step
+  // down through and restarts forever.  Sweep every key from a fresh team
+  // in a child that an alarm kills, so a regression fails, not hangs.
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::alarm(10);
+    simt::Team fresh(8, 1, 11);
+    for (Key k = 1; k <= 1200; ++k) {
+      if (f.sl.contains(fresh, k) != (model.count(k) != 0)) ::_exit(2);
+    }
+    ::_exit(0);
+  }
+  int st = 0;
+  ASSERT_EQ(::waitpid(pid, &st, 0), pid);
+  ASSERT_FALSE(WIFSIGNALED(st))
+      << "contains sweep killed by signal " << WTERMSIG(st) << " (a hang)";
+  EXPECT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0)
+      << "contains sweep returned a wrong answer";
+}
+
+TEST(IntegrityLeading, BottomRepairKeepsInfInTheChunkBehindAZombieHead) {
+  ArmoredFixture f;
+  std::map<Key, Value> model;
+  for (Key k = 1; k <= 150; ++k) {
+    f.sl.insert(f.team, k * 2, k);
+    model[k * 2] = k;
+  }
+  const ChunkRef lead = zombify_bottom_head(f, model);
+  GfslInspector insp(f.sl);
+  const ChunkView v0 = insp.view(lead);
+  ASSERT_GE(v0.data.size(), 2u);
+  ASSERT_EQ(kv_key(v0.data.front()), KEY_NEG_INF);
+  // Flip one value bit of the first user entry.
+  auto* entries = const_cast<std::atomic<KV>*>(f.sl.arena().entries(lead));
+  entries[1].store(entries[1].load() ^ (KV{1} << 32));
+
+  const ScrubReport rep = f.sl.scrub_pass(f.team);
+  EXPECT_EQ(rep.mismatches, 1u);
+  EXPECT_EQ(rep.repaired, 1u) << "the version chain plus -inf is the image";
+  EXPECT_EQ(rep.quarantined, 0u);
+  const auto v = f.sl.validate(false);
+  ASSERT_TRUE(v.ok) << v.error;
+  const auto pairs = f.sl.collect();
+  const std::map<Key, Value> got(pairs.begin(), pairs.end());
+  EXPECT_EQ(got, model);
+}
+
+TEST(IntegrityLeading, QuarantinedLeadingChunkIsEvacuatedWithInf) {
+  // A stuck cell in the chunk behind a zombie head: the first pass repairs,
+  // the second escalates to quarantine, which must evacuate the leading
+  // chunk in place (keeping -inf) instead of zombifying it.
+  ArmoredFixture f;
+  std::map<Key, Value> model;
+  for (Key k = 1; k <= 150; ++k) {
+    f.sl.insert(f.team, k * 2, k);
+    model[k * 2] = k;
+  }
+  const ChunkRef lead = zombify_bottom_head(f, model);
+  auto* entries = const_cast<std::atomic<KV>*>(f.sl.arena().entries(lead));
+  device::FaultPlane plane;
+  ASSERT_TRUE(
+      plane.inject_at(device::FaultKind::kStuckWord, entries + 1, 5).injected);
+  EXPECT_EQ(f.sl.scrub_pass(f.team).repaired, 1u);
+  plane.reassert();
+  const ScrubReport r2 = f.sl.scrub_pass(f.team);
+  plane.clear_stuck();
+  EXPECT_EQ(r2.quarantined, 1u);
+  ASSERT_EQ(r2.lost.size(), 1u);
+  EXPECT_EQ(r2.lost.front().lo_exclusive, KEY_NEG_INF);
+
+  GfslInspector insp(f.sl);
+  const ChunkView after = insp.view(lead);
+  EXPECT_NE(after.lock, kZombie);
+  ASSERT_EQ(after.data.size(), 1u);
+  EXPECT_EQ(kv_key(after.data.front()), KEY_NEG_INF);
+  const auto v = f.sl.validate(false);
+  ASSERT_TRUE(v.ok) << v.error;
+  for (const auto& [k, val] : f.sl.collect()) {
+    ASSERT_EQ(model.count(k), 1u) << "alien key " << k;
+    EXPECT_EQ(model[k], val);
+    EXPECT_GT(k, r2.lost.front().hi_inclusive) << "key " << k << " survived";
+  }
+}
+
+TEST(IntegrityLeading, QuarantinedHeadWithoutSnapshotsDropsItsMax) {
+  // Integrity only: a damaged bottom head cannot be repaired (no version
+  // chain), so it is evacuated in place down to -inf, and its max must
+  // follow: without snapshots a non-last chunk's max equals its top key.
+  device::DeviceMemory mem;
+  IntegritySidecar integrity;
+  Gfsl sl(small_cfg(), &mem, nullptr, nullptr, nullptr, nullptr, nullptr,
+          nullptr, &integrity);
+  simt::Team team(8, 0, 3);
+  std::map<Key, Value> model;
+  for (Key k = 1; k <= 100; ++k) {
+    sl.insert(team, k * 2, k);
+    model[k * 2] = k;
+  }
+  const ChunkView head = live_chain(sl, 0).front();
+  ASSERT_NE(head.next, NULL_CHUNK);
+  ASSERT_GE(head.data.size(), 2u);
+  auto* entries = const_cast<std::atomic<KV>*>(sl.arena().entries(head.ref));
+  entries[1].store(entries[1].load() ^ (KV{1} << 32));
+
+  const ScrubReport rep = sl.scrub_pass(team);
+  EXPECT_EQ(rep.quarantined, 1u);
+  ASSERT_EQ(rep.lost.size(), 1u);
+  EXPECT_EQ(rep.lost.front().lo_exclusive, KEY_NEG_INF);
+  EXPECT_EQ(rep.lost.front().hi_inclusive, head.max);
+  const auto v = sl.validate(false);
+  ASSERT_TRUE(v.ok) << v.error;
+  for (const auto& [k, val] : sl.collect()) {
+    EXPECT_EQ(model.at(k), val);
+    EXPECT_GT(k, head.max) << "key " << k << " survived the evacuation";
+  }
 }
 
 // --- Quarantine and blast radius --------------------------------------------

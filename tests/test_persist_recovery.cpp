@@ -19,6 +19,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdint>
@@ -31,6 +32,7 @@
 
 #include "core/chunk.h"
 #include "core/gfsl.h"
+#include "core/inspect.h"
 #include "device/device_memory.h"
 #include "device/fault_plane.h"
 #include "device/persist.h"
@@ -135,6 +137,32 @@ RecoveryReport recover_file(const std::string& path,
   }
   if (bytes_after != nullptr) *bytes_after = snapshot(*stack.region());
   return rep;
+}
+
+/// After recover(), every upper entry's down pointer names the live chunk
+/// that holds its key one level down — stricter than validate(), which only
+/// asks that the key's enclosing chunk be laterally reachable from it.
+void expect_precise_down_pointers(const Gfsl& sl) {
+  GfslInspector insp(sl);
+  for (int l = 1; l < sl.max_levels(); ++l) {
+    bool cycle = false;
+    for (const ChunkView& ch : insp.level_chain(l, &cycle)) {
+      if (ch.lock == kZombie) continue;
+      for (const KV kv : ch.data) {
+        if (kv_key(kv) == KEY_NEG_INF) continue;
+        const ChunkView below = insp.view(static_cast<ChunkRef>(kv_value(kv)));
+        bool holds = below.lock != kZombie;
+        if (holds) {
+          holds = std::any_of(below.data.begin(), below.data.end(),
+                              [&](KV b) { return kv_key(b) == kv_key(kv); });
+        }
+        EXPECT_TRUE(holds) << "level " << l << " key " << kv_key(kv)
+                           << " points at chunk " << below.ref
+                           << ", which does not hold it";
+      }
+    }
+    EXPECT_FALSE(cycle);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -259,6 +287,109 @@ TEST(PersistRecovery, SigkilledChildImageRecoversAndValidates) {
       EXPECT_TRUE(plausible.count(k) != 0) << "alien key " << k;
     }
   }
+}
+
+TEST(PersistRecovery, RecoveredDownPointersNameTheChunkHoldingTheKey) {
+  const auto path = tmp_region("precise_down");
+  for (const std::uint64_t kill_at : {60u, 250u, 400u}) {
+    ASSERT_EQ(run_forked([&] { child_workload(path, kill_at); }),
+              ChildFate::kKilled);
+    harness::GfslStack stack(GfslConfig{}, attach(path));
+    const RecoveryReport rep = stack.gfsl().recover();
+    ASSERT_TRUE(rep.ok) << "kill at " << kill_at << ": " << rep.error;
+    SCOPED_TRACE("kill at " + std::to_string(kill_at));
+    expect_precise_down_pointers(stack.gfsl());
+  }
+}
+
+/// Writes a clean image of even keys 2..600, then forges it so that no key
+/// of a non-leading, non-last level-1 chunk exists at level 0: each key k
+/// becomes k - 1, down pointers kept.  Returns the forged chunk's view.
+ChunkView write_orphaned_upper_chunk(const std::string& path,
+                                     std::set<Key>* expected) {
+  {
+    harness::GfslStack stack(small_cfg(), {.persist_path = path});
+    simt::Team team(8, 0, 3);
+    for (Key k = 1; k <= 300; ++k) {
+      stack.gfsl().insert(team, k * 2, k);
+      expected->insert(k * 2);
+    }
+    stack.region()->mark_clean();
+  }
+  harness::GfslStack stack(GfslConfig{}, attach(path));
+  GfslInspector insp(stack.gfsl());
+  bool cycle = false;
+  std::vector<ChunkView> live;
+  for (const ChunkView& ch : insp.level_chain(1, &cycle)) {
+    if (ch.lock != kZombie) live.push_back(ch);
+  }
+  EXPECT_GE(live.size(), 3u);
+  const ChunkView victim = live.at(1);  // live[0] leads level 1
+  EXPECT_NE(victim.next, NULL_CHUNK);
+  auto* entries =
+      const_cast<std::atomic<KV>*>(stack.gfsl().arena().entries(victim.ref));
+  for (std::size_t s = 0; s < victim.data.size(); ++s) {
+    const KV kv = victim.data[s];
+    entries[s].store(make_kv(kv_key(kv) - 1, kv_value(kv)));
+  }
+  return victim;
+}
+
+TEST(PersistRecovery, ChunkWithNoKeyLeftBelowIsZombified) {
+  // recover() must drop every key of the forged chunk and retire it, and
+  // the result must pass strict validation.
+  const auto path = tmp_region("forged_upper");
+  std::set<Key> expected;
+  const ChunkView victim = write_orphaned_upper_chunk(path, &expected);
+  harness::GfslStack stack(GfslConfig{}, attach(path));
+  Gfsl& sl = stack.gfsl();
+  const RecoveryReport rep = sl.recover();
+  ASSERT_TRUE(rep.ok) << rep.error;
+  EXPECT_TRUE(rep.validation.ok) << rep.validation.error;
+  EXPECT_EQ(rep.stale_keys_scrubbed, victim.data.size());
+  EXPECT_EQ(rep.chunks_zombified, 1u);
+  EXPECT_EQ(GfslInspector(sl).view(victim.ref).lock, kZombie);
+  std::set<Key> keys;
+  for (const auto& [k, v] : sl.collect()) keys.insert(k);
+  EXPECT_EQ(keys, expected);
+  expect_precise_down_pointers(sl);
+
+  // The zombie stays linked; a second pass finds nothing left to do.
+  const auto first = snapshot(*stack.region());
+  const RecoveryReport rep2 = sl.recover();
+  ASSERT_TRUE(rep2.ok) << rep2.error;
+  EXPECT_EQ(rep2.stale_keys_scrubbed, 0u);
+  EXPECT_EQ(rep2.chunks_zombified, 0u);
+  EXPECT_TRUE(snapshot(*stack.region()) == first)
+      << "second recovery changed the image";
+}
+
+TEST(PersistRecovery, KillAnywhereInTheRebuildThenRerunConverges) {
+  // A recoverer killed at any persist barrier — inside the upper-level
+  // rebuild's lock, slot writes, max lowering or zombify included — leaves
+  // an image the next recover() drives to the straight run's bytes.
+  const auto forged = tmp_region("forged_kill_base");
+  const auto path = tmp_region("forged_kill");
+  std::set<Key> expected;
+  (void)write_orphaned_upper_chunk(forged, &expected);
+  std::filesystem::copy_file(forged, path,
+                             std::filesystem::copy_options::overwrite_existing);
+  std::vector<unsigned char> straight;
+  ASSERT_TRUE(recover_file(path, &straight).ok);
+  std::uint64_t j = 1;
+  for (;; ++j) {
+    std::filesystem::copy_file(
+        forged, path, std::filesystem::copy_options::overwrite_existing);
+    const auto fate = run_forked([&] { child_recover(path, j); });
+    ASSERT_NE(fate, ChildFate::kError);
+    if (fate == ChildFate::kClean) break;  // recovery has fewer barriers
+    std::vector<unsigned char> rerun;
+    const auto rep = recover_file(path, &rerun);
+    ASSERT_TRUE(rep.ok) << "kill at barrier " << j << ": " << rep.error;
+    ASSERT_TRUE(rerun == straight)
+        << "kill at barrier " << j << " converged to a different image";
+  }
+  EXPECT_GT(j, 10u) << "the sweep never reached the rebuild";
 }
 
 TEST(PersistRecovery, RecoverTwiceIsBitIdentical) {

@@ -193,5 +193,35 @@ TEST(StepScheduler, GlobalStepsAdvance) {
   EXPECT_EQ(sched.global_steps(), 10u);
 }
 
+TEST(StepScheduler, LastYieldIsEachParticipantsFinalStep) {
+  // Participant 0 finishes long before participant 1: its last yield is the
+  // global step of its 10th yield, and a kill armed after it never lands.
+  StepScheduler sched(StepScheduler::Mode::Deterministic, 5, 2);
+  std::vector<int> trace;  // participant of global step i + 1
+  std::vector<std::thread> threads;
+  for (int id = 0; id < 2; ++id) {
+    threads.emplace_back([&, id] {
+      sched.enter(id);
+      for (int s = 0; s < (id == 0 ? 10 : 40); ++s) {
+        trace.push_back(id);  // only the granted participant runs
+        sched.yield(id);
+      }
+      sched.leave(id);
+    });
+  }
+  for (auto& t : threads) t.join();
+  ASSERT_EQ(trace.size(), 50u);
+  for (int id = 0; id < 2; ++id) {
+    std::uint64_t last = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      if (trace[i] == id) last = i + 1;
+    }
+    EXPECT_EQ(sched.last_yield(id), last) << "participant " << id;
+  }
+  EXPECT_LT(sched.last_yield(0), sched.global_steps());
+  EXPECT_EQ(sched.last_yield(1), sched.global_steps());
+  EXPECT_EQ(sched.last_yield(7), 0u);  // not a participant
+}
+
 }  // namespace
 }  // namespace gfsl::sched

@@ -188,7 +188,7 @@ int run_recover(const std::string& path, bool csv) {
   t.add_row({"intents repaired", std::to_string(rep.intents_repaired)});
   t.add_row({"chunks freed", std::to_string(rep.chunks_freed)});
   t.add_row({"stale keys scrubbed", std::to_string(rep.stale_keys_scrubbed)});
-  t.add_row({"upper chunks unlinked", std::to_string(rep.chunks_unlinked)});
+  t.add_row({"upper chunks zombified", std::to_string(rep.chunks_zombified)});
   if (!rep.ok) t.add_row({"error", rep.error});
   if (csv) {
     t.print_csv(std::cout);
