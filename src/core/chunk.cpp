@@ -2,8 +2,8 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <cassert>
-#include <new>
 #include <stdexcept>
 
 namespace gfsl::core {
@@ -33,12 +33,8 @@ ChunkArena::ChunkArena(int entries_per_chunk, std::uint32_t capacity,
   }
   if (region == nullptr) {
     // Zeroed on first touch, exactly what value-initialized atomics held.
-    const std::size_t bytes = sizeof(std::atomic<KV>) *
-                              static_cast<std::size_t>(n_) * capacity;
-    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-    if (p == MAP_FAILED) throw std::bad_alloc();
-    slots_own_ = {static_cast<std::atomic<KV>*>(p), Unmap{bytes}};
+    slots_own_ = device::map_zeroed<std::atomic<KV>>(
+        static_cast<std::size_t>(n_) * capacity);
     gen_own_.reset(new std::atomic<std::uint32_t>[capacity]);
     free_next_own_.reset(new std::atomic<std::uint32_t>[capacity]);
     slots_ = slots_own_.get();
@@ -79,10 +75,6 @@ ChunkArena::ChunkArena(int entries_per_chunk, std::uint32_t capacity,
     gen_[i].store(0, std::memory_order_relaxed);
     free_next_[i].store(NULL_CHUNK, std::memory_order_relaxed);
   }
-}
-
-void ChunkArena::Unmap::operator()(std::atomic<KV>* p) const {
-  ::munmap(p, bytes);
 }
 
 ChunkRef ChunkArena::pop_free() {
@@ -135,14 +127,39 @@ ChunkRef ChunkArena::alloc_locked(std::uint32_t owner_word) {
   // published pointer observes the initialized contents.
   e[lock_slot()].store(make_lock_entry(kLocked, owner_word),
                        std::memory_order_release);
-  // Transition to "in use" (even) as the last step.  Release publishes the
-  // initialization stores above before the stamp a seqlock reader validates
-  // against; bump-fresh indices are born even (0) and were never reachable
-  // before this call, so they need no flip.
-  if ((gen_[ref].load(std::memory_order_relaxed) & 1u) != 0) {
-    gen_[ref].fetch_add(1, std::memory_order_release);
-  }
+  // Transition to "in use" (even) as the last step.
+  publish_generation(ref);
   return ref;
+}
+
+ChunkRef ChunkArena::take_unwritten() {
+  const ChunkRef ref = pop_free();
+  if (ref != NULL_CHUNK) return ref;
+  // Quiescent: nobody else bumps, so a plain load and store replace the
+  // fetch_add.
+  const std::uint32_t idx = next_->load(std::memory_order_relaxed);
+  if (idx >= capacity_) return NULL_CHUNK;
+  next_->store(idx + 1, std::memory_order_relaxed);
+  return idx;
+}
+
+void ChunkArena::advise_huge_pages(std::uint64_t count) {
+  if (slots_own_ == nullptr) return;  // a region's file mapping
+  const std::uint64_t recycled = free_count_->load(std::memory_order_relaxed);
+  if (count <= recycled) return;
+  const std::uint32_t first = next_->load(std::memory_order_relaxed);
+  if (first >= capacity_) return;
+  const auto last = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(first + (count - recycled), capacity_));
+  constexpr std::uintptr_t kBlock = std::uintptr_t{2} << 20;
+  const auto lo = reinterpret_cast<std::uintptr_t>(entries(first));
+  const auto hi = reinterpret_cast<std::uintptr_t>(entries(last));
+  const std::uintptr_t begin = (lo + kBlock - 1) & ~(kBlock - 1);
+  const std::uintptr_t end = hi & ~(kBlock - 1);
+  if (begin < end) {
+    (void)::madvise(reinterpret_cast<void*>(begin), end - begin,
+                    MADV_HUGEPAGE);
+  }
 }
 
 void ChunkArena::recycle(ChunkRef ref) {

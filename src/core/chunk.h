@@ -42,6 +42,7 @@
 
 #include "common/types.h"
 #include "device/persist.h"
+#include "device/zeroed.h"
 
 namespace gfsl::core {
 
@@ -57,13 +58,16 @@ class ChunkArena {
   /// `entries_per_chunk` is N (== team size); must be a power of two in
   /// [8, 32].  `capacity` is the total number of chunks in the pool.
   ///
-  /// With `region == nullptr` every array is heap-owned (the seed's exact
-  /// behavior).  With a PersistRegion attached, the chunk slots, generation
-  /// stamps, free-list linkage and the control words (bump pointer, tagged
-  /// free head, free count) all live inside the mapped file: a fresh region
-  /// is initialized to the empty-arena state, an attached region's stored
-  /// state is adopted as-is (the caller is expected to run Gfsl::recover()
-  /// before serving).  The region's geometry must match.
+  /// With `region == nullptr` the arena owns its storage: the chunk slots
+  /// are an anonymous mapping on 4 KiB pages, except the whole 2 MB blocks
+  /// a quiescent layout takes fresh (advise_huge_pages), and the stamps and
+  /// free-list links are heap arrays.  With a PersistRegion attached, the
+  /// chunk slots, generation stamps, free-list linkage and the control
+  /// words (bump pointer, tagged free head, free count) all live inside the
+  /// mapped file: a fresh region is initialized to the empty-arena state,
+  /// an attached region's stored state is adopted as-is (the caller is
+  /// expected to run Gfsl::recover() before serving).  The region's
+  /// geometry must match.
   ChunkArena(int entries_per_chunk, std::uint32_t capacity,
              device::PersistRegion* region = nullptr);
 
@@ -137,11 +141,43 @@ class ChunkArena {
     return device_address(ref) + static_cast<std::uint64_t>(i) * 8u;
   }
 
-  /// Reset the bump pointer and drop the free-list (quiescent only; legacy
-  /// compaction path).  Generation stamps survive so parked-reader tests
-  /// that straddle a reset still see monotone stamps; odd stamps are
-  /// normalized back to even by the next alloc of that index.
+  /// Reset the bump pointer and drop the free-list (quiescent only; every
+  /// Gfsl::bulk_load starts with it).  Generation stamps survive so
+  /// parked-reader tests that straddle a reset still see monotone stamps;
+  /// odd stamps are normalized back to even by the next publish of that
+  /// index.
   void reset();
+
+  // --- Quiescent layout (Gfsl::rebuild) --------------------------------------
+  //
+  // A rebuild writes each chunk's whole final image itself, so it takes its
+  // indices in alloc_locked()'s order (recycled first, then fresh bump
+  // indices) but skips the born-locked EMPTY image and the atomic bump, and
+  // ends each chunk with the same publish_generation() alloc_locked() ends
+  // with.
+
+  /// Advise huge pages (MADV_HUGEPAGE) for the fresh bump indices the next
+  /// `count` takes use — those the free-list cannot cover — rounded inward
+  /// to whole 2 MB blocks of address.  A layout under one block advises
+  /// nothing, so a small structure keeps 4 KiB pages and their smaller RSS.
+  /// Only the owned mapping is advised, never a region's file mapping.  It
+  /// is advice: errors (EINVAL without THP) are ignored.
+  void advise_huge_pages(std::uint64_t count);
+
+  /// The index alloc_locked() would hand out next, taken without writing
+  /// it: the stamp stays as it was until the caller has written the whole
+  /// image and calls publish_generation().  NULL_CHUNK on exhaustion.
+  ChunkRef take_unwritten();
+
+  /// The seqlock publish that ends every chunk initialization: an odd stamp
+  /// (recycled, or left odd across a reset) goes even as the last step, with
+  /// release so the image's stores are visible before the stamp a reader
+  /// validates against.  Bump-fresh indices are born even and need no flip.
+  void publish_generation(ChunkRef ref) {
+    if ((gen_[ref].load(std::memory_order_relaxed) & 1u) != 0) {
+      gen_[ref].fetch_add(1, std::memory_order_release);
+    }
+  }
 
   /// Quiescent (recovery only): normalize a reachable chunk's stamp back to
   /// even.  A reachable odd stamp cannot arise from any legal crash
@@ -186,12 +222,10 @@ class ChunkArena {
   // that the owned case had through unique_ptr anyway).  The chunk slots
   // are an anonymous mapping: the kernel zero-fills each page on first
   // touch, so a pool sized with headroom costs resident memory only for
-  // the chunks ever handed out.
-  struct Unmap {
-    std::size_t bytes;
-    void operator()(std::atomic<KV>* p) const;
-  };
-  std::unique_ptr<std::atomic<KV>[], Unmap> slots_own_;
+  // the chunks ever handed out.  A quiescent layout advises the whole
+  // 2 MB blocks it takes fresh, so a 48.8 MB bulk load faults ~22 huge
+  // pages plus the small pages at its ends instead of ~11.9K small ones.
+  device::ZeroedArray<std::atomic<KV>> slots_own_;
   std::unique_ptr<std::atomic<std::uint32_t>[]> gen_own_;
   std::unique_ptr<std::atomic<std::uint32_t>[]> free_next_own_;
   struct Control {

@@ -20,12 +20,36 @@
 
 namespace gfsl::core {
 
+namespace {
+
+// Fill to 3/4 so the rebuilt chunks absorb inserts without immediate
+// splits and deletes without immediate merges.
+int layout_fill(const ChunkArena& arena) {
+  return std::max(1, arena.dsize() * 3 / 4);
+}
+
+}  // namespace
+
+std::uint64_t Gfsl::layout_chunks(std::size_t pairs) const {
+  const auto fill = static_cast<std::uint64_t>(layout_fill(arena_));
+  std::uint64_t chunks = (pairs + fill - 1) / fill;  // level 0
+  std::uint64_t total = static_cast<std::uint64_t>(max_levels()) + chunks;
+  for (int level = 1; level < max_levels() && chunks > 1; ++level) {
+    chunks = (chunks + fill - 1) / fill;
+    total += chunks;
+  }
+  return total;
+}
+
 void Gfsl::compact() {
   const auto pairs = collect();  // sorted: the bottom level is ordered
   if (epochs_ == nullptr) {
     bulk_load(pairs);  // legacy: wholesale arena reset
     return;
   }
+  // The sweep below frees every index, so the layout may use the whole
+  // pool; one that needs more fails here, before anything is freed.
+  if (layout_chunks(pairs.size()) > arena_.capacity()) throw std::bad_alloc();
   // With reclamation active, compaction and steady-state recycling share one
   // code path: every in-use index — live, zombie, limbo'd or leaked — goes
   // through arena_.recycle() (bumping its generation stamp so any parked
@@ -44,6 +68,9 @@ void Gfsl::compact() {
 }
 
 void Gfsl::bulk_load(const std::vector<std::pair<Key, Value>>& pairs) {
+  // Checked before anything is freed: a layout that ran out of pool midway
+  // would leave neither the old structure nor the new one.
+  if (layout_chunks(pairs.size()) > arena_.capacity()) throw std::bad_alloc();
   // The reset frees every index at once: a retired chunk left in limbo
   // would later be recycled out from under the new layout.
   if (epochs_ != nullptr) {
@@ -81,26 +108,47 @@ void Gfsl::rebuild(const std::vector<std::pair<Key, Value>>& pairs) {
   // Unpublish now; the rebuild's last step publishes the new layout's table
   // (a throw before it leaves the lazy walk to republish).
   if (foresight_ != nullptr) foresight_->invalidate_all();
+  // Each chunk is taken unwritten and written once, with its final image:
+  // its first `filled` entries by the caller, then here the EMPTY rest, its
+  // max with no next yet (the chunk laid out after it links itself in), the
+  // unlocked lock and, last, the stamp alloc_locked() would publish.  The
+  // fresh part of the range it takes sits on huge pages.
+  const int fill = layout_fill(arena_);
+  const int dsize = arena_.dsize();
+  const int next_slot = arena_.next_slot();
+  const int lock_slot = arena_.lock_slot();
+  arena_.advise_huge_pages(layout_chunks(pairs.size()));
+  auto take = [&](int level) {
+    const ChunkRef ch = arena_.take_unwritten();
+    if (ch == NULL_CHUNK) throw std::bad_alloc();
+    set_chunk_level(ch, level);
+    return ch;
+  };
+  auto finish = [&](ChunkRef ch, std::atomic<KV>* slot, int filled,
+                    Key max_key) {
+    for (int i = filled; i < dsize; ++i) {
+      slot[i].store(KV_EMPTY, std::memory_order_relaxed);
+    }
+    slot[next_slot].store(make_next_entry(max_key, NULL_CHUNK),
+                          std::memory_order_relaxed);
+    slot[lock_slot].store(make_lock_entry(kUnlocked),
+                          std::memory_order_release);
+    arena_.publish_generation(ch);
+  };
+
   // Recreate the per-level head chunks exactly as construction does.
   ChunkRef below = NULL_CHUNK;
   for (int level = 0; level < max_levels(); ++level) {
-    const ChunkRef ch = arena_.alloc_locked();
-    if (ch == NULL_CHUNK) throw std::bad_alloc();
-    set_chunk_level(ch, level);
+    const ChunkRef ch = take(level);
+    std::atomic<KV>* slot = arena_.entries(ch);
     const Value down = (level == 0) ? Value{0} : static_cast<Value>(below);
-    arena_.entry(ch, 0).store(make_kv(KEY_NEG_INF, down),
-                              std::memory_order_relaxed);
-    arena_.entry(ch, arena_.lock_slot())
-        .store(make_lock_entry(kUnlocked), std::memory_order_release);
+    slot[0].store(make_kv(KEY_NEG_INF, down), std::memory_order_relaxed);
+    finish(ch, slot, 1, KEY_INF);
     head_[static_cast<std::size_t>(level)].store(ch, std::memory_order_relaxed);
     level_chunks_[static_cast<std::size_t>(level)].store(
         0, std::memory_order_relaxed);
     below = ch;
   }
-
-  // Fill to 3/4 so the rebuilt chunks absorb inserts without immediate
-  // splits and deletes without immediate merges.
-  const int fill = std::max(1, arena_.dsize() * 3 / 4);
 
   // The foresight table of this layout, offered chunk by chunk as level 0
   // is written: the head covers keys above -inf, and each data chunk the
@@ -127,12 +175,12 @@ void Gfsl::rebuild(const std::vector<std::pair<Key, Value>>& pairs) {
     ChunkRef tail = head_[static_cast<std::size_t>(level)].load(
         std::memory_order_relaxed);
     Entries raised;
+    raised.reserve((entries.size() + static_cast<std::size_t>(fill) - 1) /
+                   static_cast<std::size_t>(fill));
     Key prev = KEY_NEG_INF;
     for (std::size_t at = 0; at < entries.size(); at += fill) {
       const std::size_t n = std::min<std::size_t>(fill, entries.size() - at);
-      const ChunkRef ch = arena_.alloc_locked();
-      if (ch == NULL_CHUNK) throw std::bad_alloc();
-      set_chunk_level(ch, level);
+      const ChunkRef ch = take(level);
       // Hoisted: an atomic store makes the compiler reload the arena's
       // fields on every entry, which cost as much as the key check.
       std::atomic<KV>* slot = arena_.entries(ch);
@@ -150,22 +198,18 @@ void Gfsl::rebuild(const std::vector<std::pair<Key, Value>>& pairs) {
       }
       const bool is_final = (at + n >= entries.size());
       const Key max_key = is_final ? KEY_INF : entries[at + n - 1].first;
-      arena_.entry(ch, arena_.next_slot())
-          .store(make_next_entry(max_key, NULL_CHUNK),
-                 std::memory_order_relaxed);
-      arena_.entry(ch, arena_.lock_slot())
-          .store(make_lock_entry(kUnlocked), std::memory_order_relaxed);
+      finish(ch, slot, static_cast<int>(n), max_key);
 
       // Link after the tail.  Every data chunk is created with its final max
       // already in place; only the head chunk starts with the inf max of a
       // last chunk and must drop to its own largest key (-inf) when a data
       // chunk is linked after it.
-      const KV tail_next = arena_.entry(tail, arena_.next_slot())
+      const KV tail_next = arena_.entry(tail, next_slot)
                                .load(std::memory_order_relaxed);
       const Key tail_max = (next_entry_max(tail_next) == KEY_INF)
                                ? KEY_NEG_INF
                                : next_entry_max(tail_next);
-      arena_.entry(tail, arena_.next_slot())
+      arena_.entry(tail, next_slot)
           .store(make_next_entry(tail_max, ch), std::memory_order_relaxed);
       if (level == 0 && sample) {
         sample->offer(tail_max, ch, arena_.generation(ch));

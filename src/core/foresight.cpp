@@ -16,8 +16,8 @@ ForesightIndex::ForesightIndex(std::uint32_t pool_chunks, std::uint32_t stride,
       stride_(stride == 0 ? 1 : stride),
       threshold_(rebuild_threshold == 0 ? 1 : rebuild_threshold) {
   for (int t = 0; t < 2; ++t) {
-    slots_[t] = std::make_unique<std::atomic<KV>[]>(cap_);
-    gens_[t] = std::make_unique<std::atomic<std::uint32_t>[]>(cap_);
+    slots_[t] = device::map_zeroed<std::atomic<KV>>(cap_);
+    gens_[t] = device::map_zeroed<std::atomic<std::uint32_t>>(cap_);
     counts_[t].store(0, std::memory_order_relaxed);
   }
 }

@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "device/zeroed.h"
 
 namespace gfsl::core {
 
@@ -153,9 +154,12 @@ class ForesightIndex {
   // Double-buffered hint storage.  Element i of table t packs (lo, ref) in
   // one KV word with the gen in a parallel array; both are plain atomics so
   // a reader racing a (double) publish sees defined values that the version
-  // re-check then discards — no data race, seqlock discipline.
-  std::unique_ptr<std::atomic<KV>[]> slots_[2];
-  std::unique_ptr<std::atomic<std::uint32_t>[]> gens_[2];
+  // re-check then discards — no data race, seqlock discipline.  Both are
+  // sized for the whole pool but only read below their count, so they sit
+  // in zero-filled mappings: construction touches none of them, and a
+  // publish faults in only the pages its hints fill.
+  device::ZeroedArray<std::atomic<KV>> slots_[2];
+  device::ZeroedArray<std::atomic<std::uint32_t>> gens_[2];
   std::atomic<std::size_t> counts_[2];
   std::atomic<std::size_t> cur_{0};
 

@@ -269,7 +269,9 @@ class Gfsl {
   /// Between-kernel compaction (the thesis's future-work reclamation scheme,
   /// §4.1): rebuilds the structure densely into the start of the pool,
   /// discarding zombies and reclaiming all chunk memory, and publishes the
-  /// foresight table of the new layout.  Quiescent only.
+  /// foresight table of the new layout.  Like bulk_load, throws
+  /// std::bad_alloc before anything is freed when the layout needs more
+  /// chunks than the pool holds.  Quiescent only.
   void compact();
 
   /// Host-side bulk construction (the untimed initial-structure setup of
@@ -278,7 +280,9 @@ class Gfsl {
   /// Every key must be a user key ([MIN_USER_KEY, MAX_USER_KEY]) strictly
   /// above the one before it; otherwise throws std::invalid_argument and
   /// leaves the structure empty and valid.  The check rides the layout
-  /// loop: no extra pass over the input.  Quiescent only.
+  /// loop: no extra pass over the input.  A layout that needs more chunks
+  /// than the pool holds throws std::bad_alloc before anything is freed,
+  /// leaving the current contents intact.  Quiescent only.
   void bulk_load(const std::vector<std::pair<Key, Value>>& sorted_pairs);
 
  private:
@@ -286,12 +290,18 @@ class Gfsl {
   /// the arena can allocate.  compact() with an EpochManager recycles every
   /// in-use chunk first and rebuilds through the free-list, so generation
   /// stamps survive (a reset would forget which indices parked readers may
-  /// still compare against).  Its last step publishes the foresight table
-  /// the lazy walk would sample from the new layout (same refs, stamps and
-  /// bounds, offered to ForesightIndex::Sampler as level 0 is laid out).
-  /// Throws std::invalid_argument at the first key that is not a user key
-  /// above its predecessor, with the table still unpublished.
+  /// still compare against).  Each chunk is taken unwritten and written
+  /// once, and the fresh part of the range lies on huge pages
+  /// (ChunkArena::advise_huge_pages).  Its last step publishes the
+  /// foresight table the lazy walk would sample from the new layout (same
+  /// refs, stamps and bounds, offered to ForesightIndex::Sampler as level 0
+  /// is laid out).  Throws std::invalid_argument at the first key that is
+  /// not a user key above its predecessor, with the table still
+  /// unpublished.
   void rebuild(const std::vector<std::pair<Key, Value>>& sorted_pairs);
+  /// Chunks rebuild() takes for `pairs` keys: one head per level,
+  /// ⌈pairs/fill⌉ at level 0, then ⌈c/fill⌉ above each level of c > 1.
+  std::uint64_t layout_chunks(std::size_t pairs) const;
 
  public:
 

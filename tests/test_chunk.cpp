@@ -1,9 +1,22 @@
-// Unit tests: chunk arena layout, entry packing, allocation protocol.
+// Unit tests: chunk arena layout, entry packing, allocation protocol, the
+// quiescent layout's take/publish pair and its huge-page advice.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <new>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/chunk.h"
+#include "core/gfsl.h"
+#include "device/device_memory.h"
+#include "device/persist.h"
 
 namespace gfsl::core {
 namespace {
@@ -47,6 +60,50 @@ TEST(ChunkArena, ExhaustionReturnsNullChunk) {
   EXPECT_EQ(a.alloc_locked(), NULL_CHUNK);
 }
 
+TEST(ChunkArena, RecycledIndicesReturnLifoBelowAFixedHighWater) {
+  ChunkArena a(8, 2);
+  const ChunkRef x = a.alloc_locked();
+  const ChunkRef y = a.alloc_locked();
+  EXPECT_EQ(a.allocated(), 2u);
+  a.recycle(x);
+  a.recycle(y);
+  EXPECT_EQ(a.allocated(), 0u);
+  EXPECT_EQ(a.free_count(), 2u);
+  EXPECT_TRUE(a.can_alloc(2));
+  EXPECT_EQ(a.generation(x) & 1u, 1u);  // odd: free
+  EXPECT_EQ(a.generation(y) & 1u, 1u);
+  // LIFO: the most recently recycled index comes back first, even again;
+  // the bump high-water mark never moves once indices recycle.
+  EXPECT_EQ(a.alloc_locked(), y);
+  EXPECT_EQ(a.generation(y) & 1u, 0u);
+  EXPECT_EQ(a.alloc_locked(), x);
+  EXPECT_EQ(a.generation(x) & 1u, 0u);
+  EXPECT_EQ(a.high_water(), 2u);
+  EXPECT_EQ(a.alloc_locked(), NULL_CHUNK);
+}
+
+TEST(ChunkArena, TakeUnwrittenFollowsAllocOrderAndLeavesTheStampToPublish) {
+  ChunkArena a(8, 4);
+  const ChunkRef x = a.alloc_locked();
+  const KV sentinel = make_kv(77, 78);
+  a.entry(x, 0).store(sentinel);
+  const std::uint32_t g = a.generation(x);
+  a.recycle(x);
+  // Recycled first, then the bump pointer — alloc_locked's order.
+  EXPECT_EQ(a.take_unwritten(), x);
+  EXPECT_EQ(a.entry(x, 0).load(), sentinel);  // nothing written
+  EXPECT_EQ(a.generation(x), g + 1);          // still odd
+  a.publish_generation(x);
+  EXPECT_EQ(a.generation(x), g + 2);  // even, as its last step
+  EXPECT_EQ(a.take_unwritten(), 1u);
+  a.publish_generation(1);
+  EXPECT_EQ(a.generation(1), 0u);  // bump-fresh: born even, no flip
+  EXPECT_EQ(a.take_unwritten(), 2u);
+  EXPECT_EQ(a.take_unwritten(), 3u);
+  EXPECT_EQ(a.take_unwritten(), NULL_CHUNK);
+  EXPECT_EQ(a.high_water(), 4u);
+}
+
 TEST(ChunkArena, RejectsBadGeometry) {
   EXPECT_THROW(ChunkArena(7, 4), std::invalid_argument);
   EXPECT_THROW(ChunkArena(4, 4), std::invalid_argument);
@@ -66,6 +123,135 @@ TEST(ChunkEntries, LockStates) {
   EXPECT_EQ(lock_entry_state(make_lock_entry(kUnlocked)), kUnlocked);
   EXPECT_EQ(lock_entry_state(make_lock_entry(kLocked)), kLocked);
   EXPECT_EQ(lock_entry_state(make_lock_entry(kZombie)), kZombie);
+}
+
+// ---- huge-page advice -------------------------------------------------------
+//
+// /proc/self/smaps marks a range advised MADV_HUGEPAGE with VmFlags "hg"
+// whether or not the kernel actually handed out huge pages, so these checks
+// do not depend on free memory or the THP defrag setting.
+
+using Span = std::pair<std::uintptr_t, std::uintptr_t>;  // [first, second)
+
+constexpr std::uintptr_t kHugeBlock = std::uintptr_t{2} << 20;
+
+std::uintptr_t addr(const void* p) { return reinterpret_cast<std::uintptr_t>(p); }
+
+/// [lo, hi) rounded inward to whole 2 MB blocks; empty when none fits.
+std::vector<Span> inward_blocks(std::uintptr_t lo, std::uintptr_t hi) {
+  const std::uintptr_t b = (lo + kHugeBlock - 1) & ~(kHugeBlock - 1);
+  const std::uintptr_t e = hi & ~(kHugeBlock - 1);
+  if (b >= e) return {};
+  return {{b, e}};
+}
+
+/// The parts of [lo, hi) that smaps marks "hg", adjacent parts merged;
+/// nullopt when smaps cannot be read.
+std::optional<std::vector<Span>> advised_within(std::uintptr_t lo,
+                                                std::uintptr_t hi) {
+  std::ifstream smaps("/proc/self/smaps");
+  if (!smaps) return std::nullopt;
+  std::vector<Span> out;
+  bool seen_header = false;
+  std::uintptr_t vma_lo = 0, vma_hi = 0;
+  std::string line;
+  while (std::getline(smaps, line)) {
+    unsigned long long a = 0, b = 0;
+    if (std::sscanf(line.c_str(), "%llx-%llx ", &a, &b) == 2) {
+      seen_header = true;
+      vma_lo = static_cast<std::uintptr_t>(a);
+      vma_hi = static_cast<std::uintptr_t>(b);
+      continue;
+    }
+    if (line.rfind("VmFlags:", 0) != 0) continue;
+    std::istringstream flags(line.substr(8));
+    bool hg = false;
+    for (std::string f; flags >> f;) hg = hg || f == "hg";
+    const std::uintptr_t b0 = std::max(lo, vma_lo);
+    const std::uintptr_t e0 = std::min(hi, vma_hi);
+    if (!hg || b0 >= e0) continue;
+    if (!out.empty() && out.back().second == b0) {
+      out.back().second = e0;
+    } else {
+      out.emplace_back(b0, e0);
+    }
+  }
+  if (!seen_header) return std::nullopt;
+  return out;
+}
+
+/// Why the advice cannot be observed here; empty when it can.
+std::string advice_unobservable() {
+  if (!std::ifstream("/sys/kernel/mm/transparent_hugepage/enabled").good()) {
+    return "kernel without transparent huge pages";
+  }
+  if (!advised_within(0, 1)) return "/proc/self/smaps unreadable";
+  return {};
+}
+
+TEST(HugePageAdvice, BulkLoadAdvisesExactlyItsInwardRoundedRange) {
+  if (const auto why = advice_unobservable(); !why.empty()) GTEST_SKIP() << why;
+  device::DeviceMemory mem;
+  GfslConfig cfg;
+  cfg.team_size = 8;  // 64 B chunks holding 4 keys each after a rebuild
+  cfg.pool_chunks = 1u << 18;
+  Gfsl sl(cfg, &mem);
+  std::vector<std::pair<Key, Value>> pairs;
+  for (Key k = 1; k <= 400'000; ++k) pairs.emplace_back(k, k);
+  sl.bulk_load(pairs);
+  const ChunkArena& a = sl.arena();
+  // The reset hands the layout every index from 0, and it takes exactly
+  // [0, high_water): ~6.4 MB, so two or three whole blocks.
+  const auto want =
+      inward_blocks(addr(a.entries(0)), addr(a.entries(a.high_water())));
+  ASSERT_FALSE(want.empty());
+  ASSERT_GE(want[0].second - want[0].first, 2 * kHugeBlock);
+  const auto got =
+      advised_within(addr(a.entries(0)), addr(a.entries(a.capacity())));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, want);
+}
+
+TEST(HugePageAdvice, OnlyTheRangeTheFreeListCannotCoverIsAdvised) {
+  if (const auto why = advice_unobservable(); !why.empty()) GTEST_SKIP() << why;
+  ChunkArena a(32, 64'000);  // 256 B chunks, a 16.4 MB mapping
+  for (int i = 0; i < 21'000; ++i) ASSERT_NE(a.alloc_locked(), NULL_CHUNK);
+  for (ChunkRef r = 0; r < 20'000; ++r) a.recycle(r);  // 5.1 MB of them
+  a.advise_huge_pages(20'000);  // the free-list covers it all
+  const auto whole = [&] {
+    return advised_within(addr(a.entries(0)), addr(a.entries(a.capacity())));
+  };
+  ASSERT_TRUE(whole().has_value());
+  EXPECT_TRUE(whole()->empty());
+  a.advise_huge_pages(40'000);  // fresh: bump indices [21000, 41000)
+  EXPECT_EQ(*whole(), inward_blocks(addr(a.entries(21'000)),
+                                    addr(a.entries(41'000))));
+}
+
+TEST(HugePageAdvice, LayoutUnderOneBlockAdvisesNothing) {
+  if (const auto why = advice_unobservable(); !why.empty()) GTEST_SKIP() << why;
+  ChunkArena a(32, 48'000);
+  a.advise_huge_pages(8'000);  // 2,048,000 B: under 2 MiB wherever it sits
+  const auto got =
+      advised_within(addr(a.entries(0)), addr(a.entries(a.capacity())));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_TRUE(got->empty());
+}
+
+TEST(HugePageAdvice, RegionBackedArenaIsNeverAdvised) {
+  if (const auto why = advice_unobservable(); !why.empty()) GTEST_SKIP() << why;
+  const std::string path = testing::TempDir() + "gfsl_huge_page_advice.region";
+  {
+    device::PersistRegion region(path, device::PersistRegion::Mode::kCreate,
+                                 device::PersistGeometry{32, 48'000});
+    ChunkArena a(32, 48'000, &region);
+    a.advise_huge_pages(40'000);
+    const auto got =
+        advised_within(addr(a.entries(0)), addr(a.entries(a.capacity())));
+    ASSERT_TRUE(got.has_value());
+    EXPECT_TRUE(got->empty());
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -166,6 +166,28 @@ TEST(BulkLoad, RejectsKeyInf) {
   expect_rejected(bad);
 }
 
+// The layout's chunk count is known before anything is freed, so input the
+// pool cannot hold is refused with the previous contents still in place —
+// not after the reset, with part of level 0 laid out over them.
+TEST(BulkLoad, InputLargerThanThePoolLeavesTheStructureUnchanged) {
+  device::DeviceMemory mem;
+  GfslConfig cfg;
+  cfg.team_size = 8;
+  cfg.pool_chunks = 64;
+  Gfsl sl(cfg, &mem);
+  Team team(8, 0, 1);
+  sl.bulk_load(ascending(1, 40));
+  const auto allocated = sl.chunks_allocated();
+  EXPECT_THROW(sl.bulk_load(ascending(1, 2'000)), std::bad_alloc);
+  const auto rep = sl.validate(/*strict=*/true);
+  ASSERT_TRUE(rep.ok) << rep.error;
+  ASSERT_EQ(sl.collect(), ascending(1, 40));
+  EXPECT_EQ(sl.chunks_allocated(), allocated);
+  EXPECT_TRUE(sl.insert(team, 5'000, 1));
+  EXPECT_TRUE(sl.contains(team, 40));
+  EXPECT_TRUE(sl.validate().ok);
+}
+
 // Chunks an epoch-reclaiming structure retired are still in limbo when
 // bulk_load replaces it.  The arena reset frees their indices, so they must
 // leave limbo too: a later reclaim pass would otherwise recycle chunks of

@@ -1,50 +1,13 @@
-// Unit tests: memory pool, cache simulator, coalescing/transaction counting.
+// Unit tests: cache simulator, coalescing/transaction counting.
 #include <gtest/gtest.h>
 
 #include <new>
 
 #include "device/cache_sim.h"
 #include "device/device_memory.h"
-#include "device/memory_pool.h"
 
 namespace gfsl::device {
 namespace {
-
-TEST(MemoryPool, BumpAllocationAndAddresses) {
-  MemoryPool<std::uint64_t> pool(16);
-  EXPECT_EQ(pool.alloc(), 0u);
-  EXPECT_EQ(pool.alloc(), 1u);
-  EXPECT_EQ(pool.allocated(), 2u);
-  EXPECT_EQ(pool.device_address(3), 24u);
-}
-
-TEST(MemoryPool, ExhaustionReturnsNullIndex) {
-  MemoryPool<int> pool(2);
-  pool.alloc();
-  pool.alloc();
-  EXPECT_FALSE(pool.can_alloc());
-  EXPECT_EQ(pool.alloc(), MemoryPool<int>::kNullIndex);
-  pool.reset();
-  EXPECT_TRUE(pool.can_alloc(2));
-}
-
-TEST(MemoryPool, FreeListRecyclesLifo) {
-  MemoryPool<int> pool(2);
-  const auto a = pool.alloc();
-  const auto b = pool.alloc();
-  EXPECT_EQ(pool.allocated(), 2u);
-  pool.free(a);
-  pool.free(b);
-  EXPECT_EQ(pool.allocated(), 0u);
-  EXPECT_EQ(pool.free_count(), 2u);
-  EXPECT_TRUE(pool.can_alloc(2));
-  // LIFO: the most recently freed index comes back first; the bump
-  // high-water mark never moves once indices recycle.
-  EXPECT_EQ(pool.alloc(), b);
-  EXPECT_EQ(pool.alloc(), a);
-  EXPECT_EQ(pool.high_water(), 2u);
-  EXPECT_EQ(pool.alloc(), MemoryPool<int>::kNullIndex);
-}
 
 TEST(CacheSim, HitsAfterFirstTouch) {
   CacheSim cache;
