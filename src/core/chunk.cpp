@@ -35,8 +35,8 @@ ChunkArena::ChunkArena(int entries_per_chunk, std::uint32_t capacity,
     // Zeroed on first touch, exactly what value-initialized atomics held.
     slots_own_ = device::map_zeroed<std::atomic<KV>>(
         static_cast<std::size_t>(n_) * capacity);
-    gen_own_.reset(new std::atomic<std::uint32_t>[capacity]);
-    free_next_own_.reset(new std::atomic<std::uint32_t>[capacity]);
+    gen_own_ = device::map_zeroed<std::atomic<std::uint32_t>>(capacity);
+    free_next_own_ = device::map_zeroed<std::atomic<std::uint32_t>>(capacity);
     slots_ = slots_own_.get();
     gen_ = gen_own_.get();
     free_next_ = free_next_own_.get();
@@ -67,14 +67,13 @@ ChunkArena::ChunkArena(int entries_per_chunk, std::uint32_t capacity,
       // structure serves anything.
       return;
     }
+    // A fresh region is the durable empty image, written once.
+    for (std::uint32_t i = 0; i < capacity; ++i) {
+      gen_[i].store(0, std::memory_order_relaxed);
+      free_next_[i].store(NULL_CHUNK, std::memory_order_relaxed);
+    }
   }
-  next_->store(0, std::memory_order_relaxed);
-  free_head_->store(pack_head(0, NULL_CHUNK), std::memory_order_relaxed);
-  free_count_->store(0, std::memory_order_relaxed);
-  for (std::uint32_t i = 0; i < capacity; ++i) {
-    gen_[i].store(0, std::memory_order_relaxed);
-    free_next_[i].store(NULL_CHUNK, std::memory_order_relaxed);
-  }
+  reset();
 }
 
 ChunkRef ChunkArena::pop_free() {
@@ -132,25 +131,30 @@ ChunkRef ChunkArena::alloc_locked(std::uint32_t owner_word) {
   return ref;
 }
 
-ChunkRef ChunkArena::take_unwritten() {
-  const ChunkRef ref = pop_free();
-  if (ref != NULL_CHUNK) return ref;
+ChunkRef ChunkArena::take_unwritten(std::uint64_t count,
+                                    std::vector<ChunkRef>* recycled) {
+  recycled->clear();
+  if (count > capacity_ || !can_alloc(static_cast<std::uint32_t>(count))) {
+    return NULL_CHUNK;
+  }
+  recycled->reserve(std::min<std::uint64_t>(count, free_count()));
+  while (recycled->size() < count) {
+    const ChunkRef ref = pop_free();
+    if (ref == NULL_CHUNK) break;
+    recycled->push_back(ref);
+  }
   // Quiescent: nobody else bumps, so a plain load and store replace the
   // fetch_add.
-  const std::uint32_t idx = next_->load(std::memory_order_relaxed);
-  if (idx >= capacity_) return NULL_CHUNK;
-  next_->store(idx + 1, std::memory_order_relaxed);
-  return idx;
+  const std::uint32_t first = next_->load(std::memory_order_relaxed);
+  const auto last =
+      first + static_cast<std::uint32_t>(count - recycled->size());
+  next_->store(last, std::memory_order_relaxed);
+  advise_huge_pages(first, last);
+  return first;
 }
 
-void ChunkArena::advise_huge_pages(std::uint64_t count) {
+void ChunkArena::advise_huge_pages(std::uint32_t first, std::uint32_t last) {
   if (slots_own_ == nullptr) return;  // a region's file mapping
-  const std::uint64_t recycled = free_count_->load(std::memory_order_relaxed);
-  if (count <= recycled) return;
-  const std::uint32_t first = next_->load(std::memory_order_relaxed);
-  if (first >= capacity_) return;
-  const auto last = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(first + (count - recycled), capacity_));
   constexpr std::uintptr_t kBlock = std::uintptr_t{2} << 20;
   const auto lo = reinterpret_cast<std::uintptr_t>(entries(first));
   const auto hi = reinterpret_cast<std::uintptr_t>(entries(last));
@@ -188,9 +192,6 @@ void ChunkArena::reset() {
   next_->store(0, std::memory_order_relaxed);
   free_head_->store(pack_head(0, NULL_CHUNK), std::memory_order_relaxed);
   free_count_->store(0, std::memory_order_relaxed);
-  for (std::uint32_t i = 0; i < capacity_; ++i) {
-    free_next_[i].store(NULL_CHUNK, std::memory_order_relaxed);
-  }
 }
 
 void ChunkArena::rebuild_free(const std::vector<ChunkRef>& free_refs) {

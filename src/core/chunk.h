@@ -58,14 +58,18 @@ class ChunkArena {
   /// `entries_per_chunk` is N (== team size); must be a power of two in
   /// [8, 32].  `capacity` is the total number of chunks in the pool.
   ///
-  /// With `region == nullptr` the arena owns its storage: the chunk slots
-  /// are an anonymous mapping on 4 KiB pages, except the whole 2 MB blocks
-  /// a quiescent layout takes fresh (advise_huge_pages), and the stamps and
-  /// free-list links are heap arrays.  With a PersistRegion attached, the
-  /// chunk slots, generation stamps, free-list linkage and the control
-  /// words (bump pointer, tagged free head, free count) all live inside the
-  /// mapped file: a fresh region is initialized to the empty-arena state,
-  /// an attached region's stored state is adopted as-is (the caller is
+  /// With `region == nullptr` the arena owns its storage: the chunk slots,
+  /// the stamps and the free-list links are zero-filled anonymous mappings
+  /// (device/zeroed.h), each page first touched where it is used.  The
+  /// slots sit on 4 KiB pages except the whole 2 MB blocks a quiescent
+  /// layout takes fresh (take_unwritten); a zero stamp is the initial
+  /// stamp; and a link is written by recycle() or rebuild_free() before
+  /// pop_free() reads it, so neither construction nor reset() writes one.
+  /// With a PersistRegion attached, the chunk slots, generation stamps,
+  /// free-list linkage and the control words (bump pointer, tagged free
+  /// head, free count) all live inside the mapped file: a fresh region is
+  /// written once to the empty-arena state (its durable empty image), an
+  /// attached region's stored state is adopted as-is (the caller is
   /// expected to run Gfsl::recover() before serving).  The region's
   /// geometry must match.
   ChunkArena(int entries_per_chunk, std::uint32_t capacity,
@@ -142,32 +146,37 @@ class ChunkArena {
   }
 
   /// Reset the bump pointer and drop the free-list (quiescent only; every
-  /// Gfsl::bulk_load starts with it).  Generation stamps survive so
-  /// parked-reader tests that straddle a reset still see monotone stamps;
-  /// odd stamps are normalized back to even by the next publish of that
-  /// index.
+  /// Gfsl::bulk_load starts with it).  No link is written: the emptied
+  /// list is only ever read past links a later push writes.  Generation
+  /// stamps survive so parked-reader tests that straddle a reset still see
+  /// monotone stamps; odd stamps are normalized back to even by the next
+  /// publish of that index.
   void reset();
+
+  /// The free-list link array (one word per index), for white-box tests
+  /// that check which of its pages were ever touched.
+  const void* free_links() const { return free_next_; }
 
   // --- Quiescent layout (Gfsl::rebuild) --------------------------------------
   //
-  // A rebuild writes each chunk's whole final image itself, so it takes its
-  // indices in alloc_locked()'s order (recycled first, then fresh bump
-  // indices) but skips the born-locked EMPTY image and the atomic bump, and
-  // ends each chunk with the same publish_generation() alloc_locked() ends
-  // with.
+  // A rebuild writes each chunk's whole final image itself, so it takes all
+  // its indices at once in alloc_locked()'s order (recycled first, then
+  // fresh bump indices) but skips the born-locked EMPTY image and the atomic
+  // bump, and ends each chunk with the same publish_generation()
+  // alloc_locked() ends with.
 
-  /// Advise huge pages (MADV_HUGEPAGE) for the fresh bump indices the next
-  /// `count` takes use — those the free-list cannot cover — rounded inward
-  /// to whole 2 MB blocks of address.  A layout under one block advises
-  /// nothing, so a small structure keeps 4 KiB pages and their smaller RSS.
-  /// Only the owned mapping is advised, never a region's file mapping.  It
-  /// is advice: errors (EINVAL without THP) are ignored.
-  void advise_huge_pages(std::uint64_t count);
-
-  /// The index alloc_locked() would hand out next, taken without writing
-  /// it: the stamp stays as it was until the caller has written the whole
-  /// image and calls publish_generation().  NULL_CHUNK on exhaustion.
-  ChunkRef take_unwritten();
+  /// The next `count` indices alloc_locked() would hand out, taken without
+  /// writing them: each stamp stays as it was until the caller has written
+  /// the whole image and calls publish_generation().  The recycled ones are
+  /// popped into `recycled` (LIFO order); the rest are the fresh bump
+  /// indices [returned, returned + count - recycled->size()).  The whole
+  /// 2 MB blocks of address inside that fresh range are advised huge pages
+  /// (MADV_HUGEPAGE), so a layout under one block keeps 4 KiB pages and
+  /// their smaller RSS.  Only the owned mapping is advised, never a
+  /// region's file mapping, and errors (EINVAL without THP) are ignored:
+  /// it is advice.  Returns NULL_CHUNK, taking nothing, when fewer than
+  /// `count` indices are available.
+  ChunkRef take_unwritten(std::uint64_t count, std::vector<ChunkRef>* recycled);
 
   /// The seqlock publish that ends every chunk initialization: an odd stamp
   /// (recycled, or left odd across a reset) goes even as the last step, with
@@ -212,6 +221,8 @@ class ChunkArena {
   }
 
   ChunkRef pop_free();
+  /// take_unwritten()'s huge-page advice for the fresh indices [first, last).
+  void advise_huge_pages(std::uint32_t first, std::uint32_t last);
 
   int n_;
   std::uint32_t capacity_;
@@ -219,15 +230,16 @@ class ChunkArena {
   // Owned backing storage, allocated only when no region is attached.  The
   // raw pointers below are the single access path either way, so the
   // detached hot path is bit-identical to the seed (one extra indirection
-  // that the owned case had through unique_ptr anyway).  The chunk slots
-  // are an anonymous mapping: the kernel zero-fills each page on first
-  // touch, so a pool sized with headroom costs resident memory only for
-  // the chunks ever handed out.  A quiescent layout advises the whole
-  // 2 MB blocks it takes fresh, so a 48.8 MB bulk load faults ~22 huge
-  // pages plus the small pages at its ends instead of ~11.9K small ones.
+  // that the owned case had through unique_ptr anyway).  All three are
+  // anonymous mappings: the kernel zero-fills each page on first touch, so
+  // a pool sized with headroom costs resident memory only for the chunks
+  // ever handed out, and the stamps and links of indices never used cost
+  // nothing.  A quiescent layout advises the whole 2 MB blocks it takes
+  // fresh, so a 48.8 MB bulk load faults ~22 huge pages plus the small
+  // pages at its ends instead of ~11.9K small ones.
   device::ZeroedArray<std::atomic<KV>> slots_own_;
-  std::unique_ptr<std::atomic<std::uint32_t>[]> gen_own_;
-  std::unique_ptr<std::atomic<std::uint32_t>[]> free_next_own_;
+  device::ZeroedArray<std::atomic<std::uint32_t>> gen_own_;
+  device::ZeroedArray<std::atomic<std::uint32_t>> free_next_own_;
   struct Control {
     std::atomic<std::uint32_t> next;
     std::atomic<std::uint32_t> free_count;

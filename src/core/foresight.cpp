@@ -23,8 +23,10 @@ ForesightIndex::ForesightIndex(std::uint32_t pool_chunks, std::uint32_t stride,
 }
 
 ForesightIndex::Sampler::Sampler(const ForesightIndex& index,
-                                 std::size_t chunks)
-    : stride_(index.stride()) {
+                                 std::size_t chunks, std::size_t first_offer)
+    : stride_(index.stride()),
+      skip_(static_cast<std::uint32_t>((stride_ - first_offer % stride_) %
+                                       stride_)) {
   hints_.reserve(chunks / stride_ + 2);
 }
 
@@ -34,10 +36,18 @@ void ForesightIndex::Sampler::offer(Key lo, ChunkRef ref, std::uint32_t gen) {
     return;
   }
   skip_ = stride_ - 1;
-  if (!hints_.empty() && hints_.back().lo == lo) {
-    hints_.back() = {lo, ref, gen};
+  keep({lo, ref, gen});
+}
+
+void ForesightIndex::Sampler::append(const Sampler& later) {
+  for (const Hint& h : later.hints_) keep(h);
+}
+
+void ForesightIndex::Sampler::keep(const Hint& h) {
+  if (!hints_.empty() && hints_.back().lo == h.lo) {
+    hints_.back() = h;
   } else {
-    hints_.push_back({lo, ref, gen});
+    hints_.push_back(h);
   }
 }
 

@@ -69,16 +69,28 @@ class ForesightIndex {
   /// kept one's replaces it, since the rightmost is still at-or-left for
   /// every key above that bound (the head's max is -inf once a data chunk
   /// follows it, so the first data chunk shares the head's bound).
+  ///
+  /// A builder may split the offers into consecutive runs, one Sampler
+  /// each, started at its run's first offer position; appending the later
+  /// runs' samplers in order gives the table one Sampler fed every offer
+  /// would have kept.
   class Sampler {
    public:
-    /// `chunks` bounds the number of offers (sizes the table once).
-    Sampler(const ForesightIndex& index, std::size_t chunks);
+    /// `chunks` bounds the number of offers this sampler and the ones
+    /// appended to it take (it sizes the table once); `first_offer` is the
+    /// position of its first offer in the whole sequence.
+    Sampler(const ForesightIndex& index, std::size_t chunks,
+            std::size_t first_offer = 0);
     void offer(Key lo, ChunkRef ref, std::uint32_t gen);
+    /// Keep what `later`, fed the offers right after this one's, kept.
+    void append(const Sampler& later);
     const std::vector<Hint>& hints() const { return hints_; }
 
    private:
+    void keep(const Hint& h);
+
     std::uint32_t stride_;
-    std::uint32_t skip_ = 0;  // offers to pass over before the next kept one
+    std::uint32_t skip_;  // offers to pass over before the next kept one
     std::vector<Hint> hints_;
   };
 

@@ -36,8 +36,8 @@ Gfsl::Gfsl(const GfslConfig& cfg, device::DeviceMemory* mem,
       // The per-chunk level byte gates version stamping (snapshots) and
       // tells the integrity scrub which repair strategy applies.
       chunk_level_((snaps == nullptr && integrity == nullptr)
-                       ? nullptr
-                       : new std::uint8_t[cfg.pool_chunks]()),
+                       ? device::ZeroedArray<std::uint8_t>()
+                       : device::map_zeroed<std::uint8_t>(cfg.pool_chunks)),
       commit_ctx_(snaps == nullptr
                       ? nullptr
                       : new CommitCtx[SnapshotManager::kCommitSlots]()),

@@ -35,6 +35,7 @@
 #include "core/snapshot.h"
 #include "device/device_memory.h"
 #include "device/epoch.h"
+#include "device/zeroed.h"
 #include "sched/lease.h"
 #include "sched/step_scheduler.h"
 #include "simt/team.h"
@@ -290,20 +291,27 @@ class Gfsl {
   /// the arena can allocate.  compact() with an EpochManager recycles every
   /// in-use chunk first and rebuilds through the free-list, so generation
   /// stamps survive (a reset would forget which indices parked readers may
-  /// still compare against).  Each chunk is taken unwritten and written
-  /// once, and the fresh part of the range lies on huge pages
-  /// (ChunkArena::advise_huge_pages).  Its last step publishes the
-  /// foresight table the lazy walk would sample from the new layout (same
-  /// refs, stamps and bounds, offered to ForesightIndex::Sampler as level 0
-  /// is laid out).  Throws std::invalid_argument at the first key that is
-  /// not a user key above its predecessor, with the table still
-  /// unpublished.
+  /// still compare against).  Every index is taken up front, unwritten, in
+  /// alloc_locked()'s order, and the fresh part of the range lies on huge
+  /// pages (ChunkArena::take_unwritten).  Each level is then laid out in
+  /// layout_slices() contiguous slices of chunks, one host thread each, and
+  /// every chunk is written once with its final image.  Its last step
+  /// publishes the foresight table the lazy walk would sample from the new
+  /// layout (same refs, stamps and bounds, offered to per-slice
+  /// ForesightIndex::Samplers as level 0 is laid out).  Throws
+  /// std::invalid_argument naming the first key that is not a user key
+  /// above its predecessor, with the table still unpublished.
   void rebuild(const std::vector<std::pair<Key, Value>>& sorted_pairs);
   /// Chunks rebuild() takes for `pairs` keys: one head per level,
   /// ⌈pairs/fill⌉ at level 0, then ⌈c/fill⌉ above each level of c > 1.
   std::uint64_t layout_chunks(std::size_t pairs) const;
 
  public:
+  /// Host threads rebuild() lays out a level of `chunks` data chunks with:
+  /// one per started MiB of the level, at most one per CPU the calling
+  /// thread may run on (the threads inherit its affinity).  A level under
+  /// one MiB, or a caller bound to one CPU, is laid out on the caller.
+  int layout_slices(std::uint64_t chunks) const;
 
   /// Average number of chunks read per traversal since construction — the
   /// §5.2 metric ("between structure-height+1 and structure-height+2").
@@ -833,9 +841,10 @@ class Gfsl {
   IntegritySidecar* integrity_;
   /// Level of every allocated chunk (versioning only stamps level 0; the
   /// scrub picks its repair by it); allocated iff snaps_ or integrity_ is
-  /// attached.  Written under the chunk's lock (or quiescently); racing
-  /// readers only ever see it for refs they hold.
-  std::unique_ptr<std::uint8_t[]> chunk_level_;
+  /// attached, zero-filled until a chunk is handed out.  Written under the
+  /// chunk's lock (or quiescently); racing readers only ever see it for
+  /// refs they hold.
+  device::ZeroedArray<std::uint8_t> chunk_level_;
   /// Installed commit revision per commit slot (team ids + batch overflow).
   /// A slot is only touched by its owning team (or the single batch driver),
   /// so plain values suffice.

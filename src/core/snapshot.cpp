@@ -44,28 +44,23 @@ SnapshotManager::SnapshotManager(std::uint32_t pool_chunks,
       capacity_(record_capacity != 0
                     ? record_capacity
                     : std::max(4096u, std::min(pool_chunks * 4u, 1u << 20))),
-      recs_(new VersionRec[capacity_]),
+      recs_(device::map_zeroed<VersionRec>(capacity_)),
       heads_(new std::atomic<RecIdx>[pool_chunks_]) {
   for (std::uint32_t i = 0; i < pool_chunks_; ++i) {
     heads_[i].store(kNullRec, std::memory_order_relaxed);
   }
-  for (std::uint32_t i = 0; i < capacity_; ++i) {
-    recs_[i].next.store(i + 1 == capacity_ ? kNullRec : i + 1,
-                        std::memory_order_relaxed);
-  }
-  free_head_.store(0, std::memory_order_relaxed);  // tag 0, index 0
+  free_head_.store(kNullRec, std::memory_order_relaxed);  // tag 0, empty
   for (auto& f : inflight_) f.store(0, std::memory_order_relaxed);
   for (auto& b : batch_slot_busy_) b.store(0, std::memory_order_relaxed);
   for (auto& s : snap_slots_) s.store(0, std::memory_order_relaxed);
 }
 
-// --- Record arena (tagged Treiber free-list) --------------------------------
+// --- Record arena (tagged Treiber free-list, then a bump counter) -----------
 
 RecIdx SnapshotManager::alloc_record() {
   std::uint64_t head = free_head_.load(std::memory_order_acquire);
-  for (;;) {
-    const RecIdx idx = static_cast<RecIdx>(head);
-    if (idx == kNullRec) return kNullRec;
+  RecIdx idx = static_cast<RecIdx>(head);
+  while (idx != kNullRec) {
     const RecIdx nxt = recs_[idx].next.load(std::memory_order_relaxed);
     const std::uint64_t want =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(head >> 32) + 1)
@@ -73,11 +68,20 @@ RecIdx SnapshotManager::alloc_record() {
         nxt;
     if (free_head_.compare_exchange_weak(head, want, std::memory_order_acq_rel,
                                          std::memory_order_acquire)) {
-      created_.fetch_add(1, std::memory_order_relaxed);
-      live_.fetch_add(1, std::memory_order_relaxed);
-      return idx;
+      break;
+    }
+    idx = static_cast<RecIdx>(head);
+  }
+  if (idx == kNullRec) {
+    idx = fresh_.fetch_add(1, std::memory_order_relaxed);
+    if (idx >= capacity_) {
+      fresh_.fetch_sub(1, std::memory_order_relaxed);
+      return kNullRec;  // exhausted: the caller degrades
     }
   }
+  created_.fetch_add(1, std::memory_order_relaxed);
+  live_.fetch_add(1, std::memory_order_relaxed);
+  return idx;
 }
 
 void SnapshotManager::free_record(RecIdx i) {
@@ -471,11 +475,8 @@ void SnapshotManager::reset() {
   for (std::uint32_t i = 0; i < pool_chunks_; ++i) {
     heads_[i].store(kNullRec, std::memory_order_relaxed);
   }
-  for (std::uint32_t i = 0; i < capacity_; ++i) {
-    recs_[i].next.store(i + 1 == capacity_ ? kNullRec : i + 1,
-                        std::memory_order_relaxed);
-  }
-  free_head_.store(0, std::memory_order_release);
+  fresh_.store(0, std::memory_order_relaxed);
+  free_head_.store(kNullRec, std::memory_order_release);
   live_.store(0, std::memory_order_relaxed);
   // With every chain gone, every surviving key resolves by rule 2 (acts as
   // insert_rev 0) at every *future* snapshot — old ones died with the

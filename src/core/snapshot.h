@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "device/zeroed.h"
 
 namespace gfsl::core {
 
@@ -69,7 +70,9 @@ using RecIdx = std::uint32_t;
 /// One entry of a per-chunk version chain.  `insert_rev` is immutable after
 /// publication; `erase_rev` is stamped once (kRevLive -> r) by the erasing
 /// team under the chunk lock; `next` only changes under the chunk lock
-/// (push-front / unlink), and readers walk it with acquire loads.
+/// (push-front / unlink), and readers walk it with acquire loads.  All-zero
+/// bytes are a value-initialized record, so the arena is a zero-filled
+/// mapping (device/zeroed.h).
 struct VersionRec {
   Key key = 0;
   Value value = 0;
@@ -214,8 +217,9 @@ class SnapshotManager {
   // --- Lifecycle ------------------------------------------------------------
 
   /// Quiescent (compact / bulk_load / recover): drop every chain and every
-  /// snapshot, rebuild the record free-list, bump the store generation.
-  /// The revision clock is preserved.
+  /// snapshot, empty the record free-list and rewind the bump counter (no
+  /// record is written), bump the store generation.  The revision clock is
+  /// preserved.
   void reset();
   /// Crash recovery: adopt the durable revision counter.  Chains are
   /// volatile — every surviving key collapses to insert_rev 0.
@@ -256,9 +260,16 @@ class SnapshotManager {
 
   std::uint32_t pool_chunks_;
   std::uint32_t capacity_;
-  std::unique_ptr<VersionRec[]> recs_;
+  // The record arena.  A freed record goes onto a tagged Treiber free-list;
+  // alloc_record() pops it first, then hands out the never-used records
+  // [fresh_, capacity_) in ascending order: the order a list threaded
+  // through the whole arena would give, yet neither construction nor
+  // reset() writes a record, so a record's page is first touched when the
+  // record is handed out.
+  device::ZeroedArray<VersionRec> recs_;
   std::unique_ptr<std::atomic<RecIdx>[]> heads_;
   std::atomic<std::uint64_t> free_head_;  // tagged Treiber head: tag<<32|idx
+  std::atomic<std::uint32_t> fresh_{0};   // next never-used record
 
   std::atomic<Rev> rev_{0};
   std::atomic<Rev> inflight_[kCommitSlots];

@@ -1,6 +1,9 @@
 // Unit tests: chunk arena layout, entry packing, allocation protocol, the
-// quiescent layout's take/publish pair and its huge-page advice.
+// quiescent layout's take/publish pair, the pages set-up leaves untouched
+// and the huge-page advice.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -83,25 +86,35 @@ TEST(ChunkArena, RecycledIndicesReturnLifoBelowAFixedHighWater) {
 }
 
 TEST(ChunkArena, TakeUnwrittenFollowsAllocOrderAndLeavesTheStampToPublish) {
-  ChunkArena a(8, 4);
+  ChunkArena a(8, 6);
   const ChunkRef x = a.alloc_locked();
+  const ChunkRef y = a.alloc_locked();
   const KV sentinel = make_kv(77, 78);
   a.entry(x, 0).store(sentinel);
   const std::uint32_t g = a.generation(x);
   a.recycle(x);
-  // Recycled first, then the bump pointer — alloc_locked's order.
-  EXPECT_EQ(a.take_unwritten(), x);
+  a.recycle(y);
+  std::vector<ChunkRef> recycled;
+  // 2 recycled + 4 fresh indices: one more than that takes nothing.
+  EXPECT_EQ(a.take_unwritten(7, &recycled), NULL_CHUNK);
+  EXPECT_TRUE(recycled.empty());
+  EXPECT_EQ(a.free_count(), 2u);
+  EXPECT_EQ(a.high_water(), 2u);
+  // Recycled first (LIFO), then the bump pointer — alloc_locked's order.
+  EXPECT_EQ(a.take_unwritten(4, &recycled), 2u);
+  EXPECT_EQ(recycled, (std::vector<ChunkRef>{y, x}));
+  EXPECT_EQ(a.free_count(), 0u);
+  EXPECT_EQ(a.high_water(), 4u);
   EXPECT_EQ(a.entry(x, 0).load(), sentinel);  // nothing written
   EXPECT_EQ(a.generation(x), g + 1);          // still odd
   a.publish_generation(x);
   EXPECT_EQ(a.generation(x), g + 2);  // even, as its last step
-  EXPECT_EQ(a.take_unwritten(), 1u);
-  a.publish_generation(1);
-  EXPECT_EQ(a.generation(1), 0u);  // bump-fresh: born even, no flip
-  EXPECT_EQ(a.take_unwritten(), 2u);
-  EXPECT_EQ(a.take_unwritten(), 3u);
-  EXPECT_EQ(a.take_unwritten(), NULL_CHUNK);
-  EXPECT_EQ(a.high_water(), 4u);
+  a.publish_generation(2);
+  EXPECT_EQ(a.generation(2), 0u);  // bump-fresh: born even, no flip
+  EXPECT_EQ(a.take_unwritten(2, &recycled), 4u);
+  EXPECT_TRUE(recycled.empty());
+  EXPECT_EQ(a.take_unwritten(1, &recycled), NULL_CHUNK);
+  EXPECT_EQ(a.high_water(), 6u);
 }
 
 TEST(ChunkArena, RejectsBadGeometry) {
@@ -217,13 +230,15 @@ TEST(HugePageAdvice, OnlyTheRangeTheFreeListCannotCoverIsAdvised) {
   ChunkArena a(32, 64'000);  // 256 B chunks, a 16.4 MB mapping
   for (int i = 0; i < 21'000; ++i) ASSERT_NE(a.alloc_locked(), NULL_CHUNK);
   for (ChunkRef r = 0; r < 20'000; ++r) a.recycle(r);  // 5.1 MB of them
-  a.advise_huge_pages(20'000);  // the free-list covers it all
+  std::vector<ChunkRef> recycled;
+  a.take_unwritten(10'000, &recycled);  // the free-list covers it all
   const auto whole = [&] {
     return advised_within(addr(a.entries(0)), addr(a.entries(a.capacity())));
   };
   ASSERT_TRUE(whole().has_value());
   EXPECT_TRUE(whole()->empty());
-  a.advise_huge_pages(40'000);  // fresh: bump indices [21000, 41000)
+  // The other 10,000 recycled, then fresh: bump indices [21000, 41000).
+  a.take_unwritten(30'000, &recycled);
   EXPECT_EQ(*whole(), inward_blocks(addr(a.entries(21'000)),
                                     addr(a.entries(41'000))));
 }
@@ -231,7 +246,8 @@ TEST(HugePageAdvice, OnlyTheRangeTheFreeListCannotCoverIsAdvised) {
 TEST(HugePageAdvice, LayoutUnderOneBlockAdvisesNothing) {
   if (const auto why = advice_unobservable(); !why.empty()) GTEST_SKIP() << why;
   ChunkArena a(32, 48'000);
-  a.advise_huge_pages(8'000);  // 2,048,000 B: under 2 MiB wherever it sits
+  std::vector<ChunkRef> recycled;
+  a.take_unwritten(8'000, &recycled);  // 2,048,000 B: under 2 MiB anywhere
   const auto got =
       advised_within(addr(a.entries(0)), addr(a.entries(a.capacity())));
   ASSERT_TRUE(got.has_value());
@@ -245,13 +261,56 @@ TEST(HugePageAdvice, RegionBackedArenaIsNeverAdvised) {
     device::PersistRegion region(path, device::PersistRegion::Mode::kCreate,
                                  device::PersistGeometry{32, 48'000});
     ChunkArena a(32, 48'000, &region);
-    a.advise_huge_pages(40'000);
+    std::vector<ChunkRef> recycled;
+    a.take_unwritten(40'000, &recycled);
     const auto got =
         advised_within(addr(a.entries(0)), addr(a.entries(a.capacity())));
     ASSERT_TRUE(got.has_value());
     EXPECT_TRUE(got->empty());
   }
   std::remove(path.c_str());
+}
+
+// ---- lazy arenas -----------------------------------------------------------
+//
+// Set-up writes only what the structure keeps: the snapshot record arena
+// and the chunk arena's free links are zero-filled mappings that neither
+// construction nor bulk_load's resets write, so none of their pages is
+// resident until a record is handed out or an index is recycled.
+
+/// Resident pages of [p, p + bytes); nullopt when mincore is unavailable.
+std::optional<std::size_t> resident_pages(const void* p, std::size_t bytes) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const std::uintptr_t lo = addr(p) & ~(page - 1);
+  const std::uintptr_t hi = addr(p) + bytes;
+  std::vector<unsigned char> in_core((hi - lo + page - 1) / page);
+  if (::mincore(reinterpret_cast<void*>(lo), hi - lo, in_core.data()) != 0) {
+    return std::nullopt;
+  }
+  return static_cast<std::size_t>(
+      std::count_if(in_core.begin(), in_core.end(),
+                    [](unsigned char c) { return (c & 1u) != 0; }));
+}
+
+TEST(LazyArenas, SetUpTouchesNoRecordOrFreeLinkPage) {
+  device::DeviceMemory mem;
+  GfslConfig cfg;
+  cfg.team_size = 32;
+  cfg.pool_chunks = 1u << 14;
+  SnapshotManager snaps(cfg.pool_chunks);  // 65,536 records, 2 MB
+  Gfsl sl(cfg, &mem, nullptr, nullptr, nullptr, nullptr, &snaps);
+  std::vector<std::pair<Key, Value>> pairs;
+  for (Key k = 1; k <= 100'000; ++k) pairs.emplace_back(k, k);
+  sl.bulk_load(pairs);
+  sl.bulk_load(pairs);  // a second reset of both arenas
+  const auto records = resident_pages(
+      &snaps.rec(0), sizeof(VersionRec) * snaps.record_capacity());
+  if (!records) GTEST_SKIP() << "mincore unavailable";
+  EXPECT_EQ(*records, 0u) << "of the record arena's pages";
+  const auto links = resident_pages(sl.arena().free_links(),
+                                    sizeof(std::uint32_t) * cfg.pool_chunks);
+  ASSERT_TRUE(links.has_value());
+  EXPECT_EQ(*links, 0u) << "of the free-link pages";
 }
 
 }  // namespace

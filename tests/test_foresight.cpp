@@ -535,18 +535,20 @@ void expect_layout_table_is_walk_table(Gfsl& sl, ForesightIndex& f,
 TEST(ForesightPublish, RebuildPublishesTheWalksTable) {
   for (const int team_size : {8, 16, 32}) {
     const std::size_t fill = static_cast<std::size_t>((team_size - 2) * 3 / 4);
-    // ~150K keys: each of [1, 600K] with probability 1/4.
+    // ~300K keys: each of [1, 600K] with probability 1/2.  Level 0 is 3.5 to
+    // 4.8 MB, so the layout cuts it into one slice per usable CPU, up to
+    // four, and the table is appended from that many Samplers.
     Pairs random;
     Xoshiro256ss rng(derive_seed(0x1A7, static_cast<std::uint64_t>(team_size)));
     for (Key k = 1; k <= 600'000; ++k) {
-      if (rng.below(4) == 0) random.emplace_back(k, value_of(k));
+      if (rng.below(2) == 0) random.emplace_back(k, value_of(k));
     }
     const std::vector<std::pair<const char*, Pairs>> inputs = {
         {"empty", {}},
         {"one key", ascending_pairs(7, 7)},
         {"one chunk's fill", ascending_pairs(1, static_cast<Key>(fill))},
         {"fill + 1", ascending_pairs(1, static_cast<Key>(fill + 1))},
-        {"150K random", random},
+        {"300K random", random},
     };
     for (const std::uint32_t stride : {1u, 2u, 3u, 7u}) {
       for (const auto& [name, pairs] : inputs) {
@@ -556,13 +558,19 @@ TEST(ForesightPublish, RebuildPublishesTheWalksTable) {
         const Key last = (pairs.empty() ? 0 : pairs.back().first) + 2;
         GfslConfig cfg;
         cfg.team_size = team_size;
-        cfg.pool_chunks = 1u << 16;
+        cfg.pool_chunks = 1u << 17;
         device::DeviceMemory mem;
         device::EpochManager epochs;
         ForesightIndex foresight(cfg.pool_chunks, stride, kNeverRepublish);
         Gfsl sl(cfg, &mem, nullptr, nullptr, &epochs, nullptr, nullptr,
                 &foresight);
         Team team(team_size, 0, 5);
+        if (std::string(name) == "300K random") {
+          const int most =
+              std::min(sl.layout_slices(std::uint64_t{1} << 40), 4);
+          ASSERT_EQ(sl.layout_slices((pairs.size() + fill - 1) / fill), most)
+              << where;
+        }
 
         sl.bulk_load(pairs);
         ASSERT_NO_FATAL_FAILURE(expect_layout_table_is_walk_table(

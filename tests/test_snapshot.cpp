@@ -299,6 +299,66 @@ TEST(SnapshotGC, RotatingHolderKeepsRecordArenaBounded) {
 }
 
 // ---------------------------------------------------------------------------
+// The record arena: freed records on a free-list, then a bump counter over
+// the never-used ones.  Neither construction nor reset() writes a record,
+// yet indices come out in the order a free-list threaded through the whole
+// arena would give: the freed ones LIFO first, then the fresh ones
+// ascending.
+
+// The index record_insert handed out: the new head of c's chain.
+RecIdx insert_at(SnapshotManager& m, ChunkRef c, Key k) {
+  EXPECT_TRUE(m.record_insert(c, k, k, 1));
+  return m.chain_head(c);
+}
+
+TEST(SnapshotRecordArena, FreshIndicesAscendThenFreedOnesComeBackLifo) {
+  SnapshotManager m(64, /*record_capacity=*/32);
+  for (RecIdx want = 0; want < 5; ++want) {
+    EXPECT_EQ(insert_at(m, 0, want + 1), want);
+  }
+  std::vector<RecIdx> detached;
+  m.purge_chunk(0, &detached);
+  ASSERT_EQ(detached, (std::vector<RecIdx>{4, 3, 2, 1, 0}));
+  m.free_records({1, 3});
+  EXPECT_EQ(insert_at(m, 1, 10), 3u);  // the last freed comes back first
+  EXPECT_EQ(insert_at(m, 1, 11), 1u);
+  EXPECT_EQ(insert_at(m, 1, 12), 5u);  // then the never-used ones
+  EXPECT_EQ(insert_at(m, 1, 13), 6u);
+  m.free_records({0, 2, 4});
+  // reset() drops the chains and the free-list: the same sequence again.
+  m.reset();
+  for (RecIdx want = 0; want < 5; ++want) {
+    EXPECT_EQ(insert_at(m, 2, want + 1), want);
+  }
+  m.purge_chunk(2, &detached);
+  m.free_records({2});
+  EXPECT_EQ(insert_at(m, 3, 20), 2u);
+  EXPECT_EQ(insert_at(m, 3, 21), 5u);
+}
+
+TEST(SnapshotRecordArena, OverflowsAtExactlyTheRecordCapacity) {
+  SnapshotManager m(64, /*record_capacity=*/8);
+  for (Key k = 1; k <= 8; ++k) ASSERT_TRUE(m.record_insert(0, k, k, 1));
+  EXPECT_EQ(m.overflows(), 0u);
+  EXPECT_FALSE(m.record_insert(0, 9, 9, 1));
+  EXPECT_EQ(m.overflows(), 1u);
+  // A freed record is handed out before the arena overflows again.
+  std::vector<RecIdx> detached;
+  m.purge_chunk(0, &detached);
+  m.free_records({detached[0]});
+  EXPECT_TRUE(m.record_insert(1, 10, 10, 1));
+  EXPECT_EQ(m.overflows(), 1u);
+  EXPECT_FALSE(m.record_insert(1, 11, 11, 1));
+  EXPECT_EQ(m.overflows(), 2u);
+  // After reset() the whole arena again, and not one record more.
+  m.reset();
+  for (Key k = 1; k <= 8; ++k) ASSERT_TRUE(m.record_insert(2, k, k, 1));
+  EXPECT_EQ(m.overflows(), 2u);
+  EXPECT_FALSE(m.record_insert(2, 9, 9, 1));
+  EXPECT_EQ(m.overflows(), 3u);
+}
+
+// ---------------------------------------------------------------------------
 // A/B determinism: the detached path is the seed path.
 
 struct AbRun {
