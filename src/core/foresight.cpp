@@ -192,8 +192,11 @@ void Gfsl::foresight_maybe_rebuild(Team& team) {
   Guarded cur = guard_ref(head_of(team, 0));
   while (cur.ref != NULL_CHUNK) {
     if (++visited > static_cast<std::uint64_t>(arena_.capacity()) + 1) return;
+    // Every bottom chunk once per rebuild: evict-first, so the walk does
+    // not flush the chunks the operations around it re-read.
     bool stale = false;
-    const LaneVec<KV> kv = read_chunk_checked(team, cur, &stale);
+    const LaneVec<KV> kv =
+        read_chunk_checked(team, cur, &stale, device::CacheOp::kEvictFirst);
     if (stale) return;  // abandoned; version stays odd, all lookups miss
     const Key mx = max_of(team, kv);
     const ChunkRef nxt = next_of(team, kv);

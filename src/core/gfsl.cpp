@@ -136,7 +136,7 @@ void Gfsl::sync_point(Team& team) {
   team.sync();
 }
 
-LaneVec<KV> Gfsl::read_chunk(Team& team, ChunkRef ref) {
+LaneVec<KV> Gfsl::read_chunk(Team& team, ChunkRef ref, device::CacheOp op) {
   // One lockstep instruction: every lane loads its own entry.  The whole
   // chunk is contiguous, so the access coalesces into chunk_bytes/128
   // transactions (1 for N=16, 2 for N=32 — §5.2 "Chunk Size").
@@ -146,7 +146,7 @@ LaneVec<KV> Gfsl::read_chunk(Team& team, ChunkRef ref) {
   for (int i = 0; i < team.size(); ++i) {
     kv[i] = e[i].load(std::memory_order_acquire);
   }
-  mem_->warp_read(arena_.device_address(ref), arena_.chunk_bytes());
+  mem_->warp_read(arena_.device_address(ref), arena_.chunk_bytes(), op);
   team.step();
   return kv;
 }

@@ -384,7 +384,13 @@ class Gfsl {
 
  private:
   // ---- cooperative building blocks (gfsl.cpp) ----
-  simt::LaneVec<KV> read_chunk(simt::Team& team, ChunkRef ref);
+  /// One coalesced team read of `ref`'s entries.  The call site picks the
+  /// cache operator: walks that read each chunk once per pass (scan,
+  /// scan_at, the foresight lazy rebuild) load evict-first; every other
+  /// read is normal, because other operations re-read what it touches.
+  simt::LaneVec<KV> read_chunk(
+      simt::Team& team, ChunkRef ref,
+      device::CacheOp op = device::CacheOp::kNormal);
   /// A chunk reference paired with the generation stamp sampled when the
   /// reference was acquired (guard_ref).  Checked reads validate against
   /// this sample, so a recycle — or a completed recycle+reuse, which
@@ -408,8 +414,9 @@ class Gfsl {
   /// `*stale` is set when the chunk was recycled (or recycled and reused)
   /// at any point since guard_ref sampled it — the caller must restart its
   /// traversal; detached, stamps never change and this is read_chunk.
-  simt::LaneVec<KV> read_chunk_checked(simt::Team& team, Guarded g,
-                                       bool* stale);
+  simt::LaneVec<KV> read_chunk_checked(
+      simt::Team& team, Guarded g, bool* stale,
+      device::CacheOp op = device::CacheOp::kNormal);
   void sync_point(simt::Team& team);
   bool is_zombie(simt::Team& team, const simt::LaneVec<KV>& kv);
   bool is_locked_or_zombie(simt::Team& team, const simt::LaneVec<KV>& kv);

@@ -51,10 +51,11 @@ namespace gfsl::core {
 using simt::LaneVec;
 using simt::Team;
 
-LaneVec<KV> Gfsl::read_chunk_checked(Team& team, Guarded g, bool* stale) {
+LaneVec<KV> Gfsl::read_chunk_checked(Team& team, Guarded g, bool* stale,
+                                     device::CacheOp op) {
   if (epochs_ == nullptr && integrity_ == nullptr) {
     *stale = false;
-    return read_chunk(team, g.ref);
+    return read_chunk(team, g.ref, op);
   }
   bool restart = false;
   LaneVec<KV> kv;
@@ -67,12 +68,12 @@ LaneVec<KV> Gfsl::read_chunk_checked(Team& team, Guarded g, bool* stale) {
     // piggyback on the chunk's cache line and add no lockstep instruction of
     // their own.
     const auto g1 = arena_.generation(g.ref, std::memory_order_acquire);
-    kv = read_chunk(team, g.ref);
+    kv = read_chunk(team, g.ref, op);
     std::atomic_thread_fence(std::memory_order_acquire);
     const auto g2 = arena_.generation(g.ref, std::memory_order_relaxed);
     restart = g1 != g.gen || g2 != g.gen || (g.gen & 1u) != 0;
   } else {
-    kv = read_chunk(team, g.ref);
+    kv = read_chunk(team, g.ref, op);
   }
   if (!restart && integrity_ != nullptr &&
       lock_entry_state(team.shfl(kv, team.lock_lane())) == kUnlocked) {

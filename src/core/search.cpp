@@ -394,8 +394,11 @@ std::size_t Gfsl::scan(Team& team, Key lo, Key hi,
     out.resize(start_size);
     Guarded cur = search_down(team, lo);
     for (;;) {
+      // One pass over the range: each chunk loads evict-first, so the scan
+      // does not flush the chunks other operations re-read from the L2.
       bool stale = false;
-      const LaneVec<KV> kv = read_chunk_checked(team, cur, &stale);
+      const LaneVec<KV> kv =
+          read_chunk_checked(team, cur, &stale, device::CacheOp::kEvictFirst);
       if (stale) break;
       if (is_zombie(team, kv)) {
         // Zombie contents moved right; skip without collecting.

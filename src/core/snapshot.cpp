@@ -45,10 +45,7 @@ SnapshotManager::SnapshotManager(std::uint32_t pool_chunks,
                     ? record_capacity
                     : std::max(4096u, std::min(pool_chunks * 4u, 1u << 20))),
       recs_(device::map_zeroed<VersionRec>(capacity_)),
-      heads_(new std::atomic<RecIdx>[pool_chunks_]) {
-  for (std::uint32_t i = 0; i < pool_chunks_; ++i) {
-    heads_[i].store(kNullRec, std::memory_order_relaxed);
-  }
+      heads_(device::map_zeroed<std::atomic<RecIdx>>(pool_chunks_)) {
   free_head_.store(kNullRec, std::memory_order_relaxed);  // tag 0, empty
   for (auto& f : inflight_) f.store(0, std::memory_order_relaxed);
   for (auto& b : batch_slot_busy_) b.store(0, std::memory_order_relaxed);
@@ -275,15 +272,15 @@ bool SnapshotManager::record_insert(ChunkRef c, Key k, Value v, Rev r) {
   n.value = v;
   n.insert_rev = r;
   n.erase_rev.store(kRevLive, std::memory_order_relaxed);
-  n.next.store(heads_[c].load(std::memory_order_relaxed),
+  n.next.store(load_head(c, std::memory_order_relaxed),
                std::memory_order_relaxed);
-  heads_[c].store(ni, std::memory_order_release);
+  store_head(c, ni, std::memory_order_release);
   return true;
 }
 
 bool SnapshotManager::mark_erased(ChunkRef c, Key k, Value v_hint, Rev r) {
   bool found_any = false;
-  RecIdx cur = heads_[c].load(std::memory_order_acquire);
+  RecIdx cur = load_head(c, std::memory_order_acquire);
   for (std::uint32_t steps = 0; cur != kNullRec && steps < capacity_; ++steps) {
     VersionRec& rec = recs_[cur];
     if (rec.key == k) {
@@ -312,14 +309,14 @@ bool SnapshotManager::mark_erased(ChunkRef c, Key k, Value v_hint, Rev r) {
   n.value = v_hint;
   n.insert_rev = 0;  // legacy key: visible since before any snapshot
   n.erase_rev.store(r, std::memory_order_relaxed);
-  n.next.store(heads_[c].load(std::memory_order_relaxed),
+  n.next.store(load_head(c, std::memory_order_relaxed),
                std::memory_order_relaxed);
-  heads_[c].store(ni, std::memory_order_release);
+  store_head(c, ni, std::memory_order_release);
   return true;
 }
 
 void SnapshotManager::annul_live_record(ChunkRef c, Key k) {
-  RecIdx cur = heads_[c].load(std::memory_order_acquire);
+  RecIdx cur = load_head(c, std::memory_order_acquire);
   for (std::uint32_t steps = 0; cur != kNullRec && steps < capacity_; ++steps) {
     VersionRec& rec = recs_[cur];
     if (rec.key == k &&
@@ -334,7 +331,7 @@ void SnapshotManager::annul_live_record(ChunkRef c, Key k) {
 }
 
 bool SnapshotManager::has_live_record(ChunkRef c, Key k, Value* v) const {
-  RecIdx cur = heads_[c].load(std::memory_order_acquire);
+  RecIdx cur = load_head(c, std::memory_order_acquire);
   for (std::uint32_t steps = 0; cur != kNullRec && steps < capacity_; ++steps) {
     const VersionRec& rec = recs_[cur];
     if (rec.key == k &&
@@ -350,7 +347,7 @@ bool SnapshotManager::has_live_record(ChunkRef c, Key k, Value* v) const {
 int SnapshotManager::copy_records(ChunkRef from, ChunkRef to, Key lo_excl,
                                   Key hi_incl) {
   int copied = 0;
-  RecIdx src = heads_[from].load(std::memory_order_acquire);
+  RecIdx src = load_head(from, std::memory_order_acquire);
   for (std::uint32_t steps = 0; src != kNullRec && steps < capacity_; ++steps) {
     const VersionRec& r = recs_[src];
     const RecIdx src_next = r.next.load(std::memory_order_acquire);
@@ -359,7 +356,7 @@ int SnapshotManager::copy_records(ChunkRef from, ChunkRef to, Key lo_excl,
       // Idempotence probe: a replayed copy (crash repair) finds its earlier
       // incarnation by (key, insert_rev) and only propagates a missing
       // erase stamp.
-      RecIdx dst = heads_[to].load(std::memory_order_relaxed);
+      RecIdx dst = load_head(to, std::memory_order_relaxed);
       RecIdx found = kNullRec;
       for (std::uint32_t s2 = 0; dst != kNullRec && s2 < capacity_; ++s2) {
         const VersionRec& d = recs_[dst];
@@ -386,9 +383,9 @@ int SnapshotManager::copy_records(ChunkRef from, ChunkRef to, Key lo_excl,
         n.value = r.value;
         n.insert_rev = r.insert_rev;
         n.erase_rev.store(er, std::memory_order_relaxed);
-        n.next.store(heads_[to].load(std::memory_order_relaxed),
+        n.next.store(load_head(to, std::memory_order_relaxed),
                      std::memory_order_relaxed);
-        heads_[to].store(ni, std::memory_order_release);
+        store_head(to, ni, std::memory_order_release);
         ++copied;
       }
     }
@@ -401,7 +398,7 @@ std::size_t SnapshotManager::prune_chain(ChunkRef c, Rev wm, Key chunk_max,
                                          std::vector<RecIdx>* freed) {
   std::size_t dropped = 0;
   RecIdx prev = kNullRec;
-  RecIdx cur = heads_[c].load(std::memory_order_acquire);
+  RecIdx cur = load_head(c, std::memory_order_acquire);
   for (std::uint32_t steps = 0; cur != kNullRec && steps < capacity_; ++steps) {
     VersionRec& r = recs_[cur];
     const RecIdx nxt = r.next.load(std::memory_order_acquire);
@@ -418,7 +415,7 @@ std::size_t SnapshotManager::prune_chain(ChunkRef c, Rev wm, Key chunk_max,
       // its (unchanged) next, which is why the index must survive an epoch
       // grace period before free_records().
       if (prev == kNullRec) {
-        heads_[c].store(nxt, std::memory_order_release);
+        store_head(c, nxt, std::memory_order_release);
       } else {
         recs_[prev].next.store(nxt, std::memory_order_release);
       }
@@ -438,7 +435,7 @@ std::size_t SnapshotManager::prune_chain(ChunkRef c, Rev wm, Key chunk_max,
 
 std::size_t SnapshotManager::purge_chunk(ChunkRef c,
                                          std::vector<RecIdx>* freed) {
-  RecIdx cur = heads_[c].exchange(kNullRec, std::memory_order_acq_rel);
+  RecIdx cur = exchange_head(c, kNullRec, std::memory_order_acq_rel);
   std::size_t n = 0;
   for (std::uint32_t steps = 0; cur != kNullRec && steps < capacity_; ++steps) {
     const RecIdx nxt = recs_[cur].next.load(std::memory_order_acquire);
@@ -455,7 +452,7 @@ std::size_t SnapshotManager::purge_chunk(ChunkRef c,
 
 std::size_t SnapshotManager::chain_length(ChunkRef c) const {
   std::size_t n = 0;
-  RecIdx cur = heads_[c].load(std::memory_order_acquire);
+  RecIdx cur = load_head(c, std::memory_order_acquire);
   for (std::uint32_t steps = 0; cur != kNullRec && steps < capacity_; ++steps) {
     ++n;
     cur = recs_[cur].next.load(std::memory_order_acquire);
@@ -472,8 +469,15 @@ void SnapshotManager::reset() {
       expired_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  for (std::uint32_t i = 0; i < pool_chunks_; ++i) {
-    heads_[i].store(kNullRec, std::memory_order_relaxed);
+  // Only a handed-out record can head a chain: with none handed out since
+  // the last reset (which emptied every head), construction's all-zero
+  // heads are still all "no chain" and no page of them is written.
+  const std::uint64_t created = created_.load(std::memory_order_relaxed);
+  if (created != created_at_reset_) {
+    for (std::uint32_t i = 0; i < pool_chunks_; ++i) {
+      store_head(i, kNullRec, std::memory_order_relaxed);
+    }
+    created_at_reset_ = created;
   }
   fresh_.store(0, std::memory_order_relaxed);
   free_head_.store(kNullRec, std::memory_order_release);
@@ -619,8 +623,11 @@ ScanAtStatus Gfsl::scan_at(Team& team, const Snapshot& s, Key lo, Key hi,
           redescend = true;
           break;
         }
+        // The lateral walk reads each bottom chunk once per pass: it loads
+        // evict-first so it does not flush the writers' chunks from the L2.
         bool stale = false;
-        const LaneVec<KV> kv = read_chunk_checked(team, cur, &stale);
+        const LaneVec<KV> kv =
+            read_chunk_checked(team, cur, &stale, device::CacheOp::kEvictFirst);
         if (stale) {
           team.metric(obs::kScanAtRedescents);
           redescend = true;

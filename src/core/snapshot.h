@@ -175,7 +175,7 @@ class SnapshotManager {
   // chain); reads are lock-free acquire walks, bounded by walk_cap().
 
   RecIdx chain_head(ChunkRef c) const {
-    return heads_[c].load(std::memory_order_acquire);
+    return load_head(c, std::memory_order_acquire);
   }
   const VersionRec& rec(RecIdx i) const { return recs_[i]; }
   /// Bound for lock-free chain walks: a reader racing a store reset cannot
@@ -219,7 +219,9 @@ class SnapshotManager {
   /// Quiescent (compact / bulk_load / recover): drop every chain and every
   /// snapshot, empty the record free-list and rewind the bump counter (no
   /// record is written), bump the store generation.  The revision clock is
-  /// preserved.
+  /// preserved.  The chain heads are written only when a record was handed
+  /// out since construction or the last reset; otherwise they are all empty
+  /// already.
   void reset();
   /// Crash recovery: adopt the durable revision counter.  Chains are
   /// volatile — every surviving key collapses to insert_rev 0.
@@ -253,10 +255,27 @@ class SnapshotManager {
   std::uint64_t snapshots_expired() const {
     return expired_.load(std::memory_order_relaxed);
   }
+  /// The chain-head array, for white-box tests that check which of its
+  /// pages were ever touched.
+  const void* chain_heads() const { return heads_.get(); }
 
  private:
   RecIdx alloc_record();
   void free_record(RecIdx i);
+
+  // A chain head holds its record index xor kNullRec, so all-zero bytes are
+  // "no chain" and the heads are a zero-filled mapping that construction
+  // never writes.  Every load, store and exchange of a head goes through
+  // these three.
+  RecIdx load_head(ChunkRef c, std::memory_order mo) const {
+    return heads_[c].load(mo) ^ kNullRec;
+  }
+  void store_head(ChunkRef c, RecIdx i, std::memory_order mo) {
+    heads_[c].store(i ^ kNullRec, mo);
+  }
+  RecIdx exchange_head(ChunkRef c, RecIdx i, std::memory_order mo) {
+    return heads_[c].exchange(i ^ kNullRec, mo) ^ kNullRec;
+  }
 
   std::uint32_t pool_chunks_;
   std::uint32_t capacity_;
@@ -267,7 +286,7 @@ class SnapshotManager {
   // reset() writes a record, so a record's page is first touched when the
   // record is handed out.
   device::ZeroedArray<VersionRec> recs_;
-  std::unique_ptr<std::atomic<RecIdx>[]> heads_;
+  device::ZeroedArray<std::atomic<RecIdx>> heads_;  // encoded: load_head
   std::atomic<std::uint64_t> free_head_;  // tagged Treiber head: tag<<32|idx
   std::atomic<std::uint32_t> fresh_{0};   // next never-used record
 
@@ -283,6 +302,7 @@ class SnapshotManager {
   std::atomic<std::uint64_t>* durable_ = nullptr;
 
   std::atomic<std::uint64_t> created_{0};
+  std::uint64_t created_at_reset_ = 0;  // created_ when reset() last ran
   std::atomic<std::uint64_t> pruned_{0};
   std::atomic<std::uint64_t> live_{0};
   std::atomic<std::uint64_t> overflows_{0};

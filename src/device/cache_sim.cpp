@@ -15,6 +15,13 @@ namespace {
 // waiter blocks as before.
 constexpr int kLockSpins = 256;
 
+// Eviction ranks.  A normal access ranks its line kNormalRank + tick, so
+// normal lines age among themselves exactly as plain LRU.  An evict-first
+// miss ranks its line kNormalRank - tick: below every normal line and every
+// earlier streamed line in its set, so the line just installed is the set's
+// next victim.
+constexpr std::uint64_t kNormalRank = std::uint64_t{1} << 63;
+
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
@@ -38,7 +45,7 @@ CacheSim::CacheSim(const CacheConfig& cfg) : cfg_(cfg) {
   ways_.assign(static_cast<std::size_t>(num_sets_) * cfg_.associativity, Way{});
 }
 
-bool CacheSim::access(std::uint64_t byte_addr) {
+bool CacheSim::access(std::uint64_t byte_addr, CacheOp op) {
   const std::uint64_t line = byte_addr / cfg_.line_bytes;
   const std::uint32_t set = static_cast<std::uint32_t>(line % num_sets_);
   const std::uint64_t tag = line / num_sets_;
@@ -50,26 +57,28 @@ bool CacheSim::access(std::uint64_t byte_addr) {
   }
   if (!lk.owns_lock()) lk.lock();
   ++tick_;
+  const std::uint64_t rank =
+      op == CacheOp::kNormal ? kNormalRank + tick_ : kNormalRank - tick_;
   Way* base = &ways_[static_cast<std::size_t>(set) * cfg_.associativity];
 
   Way* victim = base;
   for (std::uint32_t w = 0; w < cfg_.associativity; ++w) {
     Way& way = base[w];
     if (way.valid && way.tag == tag) {
-      way.lru = tick_;
+      if (op == CacheOp::kNormal) way.rank = rank;
       ++hits_;
       return true;
     }
     if (!way.valid) {
       victim = &way;  // prefer an empty way over evicting
-    } else if (victim->valid && way.lru < victim->lru) {
+    } else if (victim->valid && way.rank < victim->rank) {
       victim = &way;
     }
   }
 
   victim->valid = true;
   victim->tag = tag;
-  victim->lru = tick_;
+  victim->rank = rank;
   ++misses_;
   return false;
 }

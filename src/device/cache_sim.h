@@ -20,15 +20,27 @@ struct CacheConfig {
   std::uint32_t associativity = 16;
 };
 
+/// The cache operator a load carries (PTX ld.global.{ca,cs}).
+enum class CacheOp : std::uint8_t {
+  /// Ordinary caching: the line becomes its set's most recently used.
+  kNormal,
+  /// Evict-first (ld.global.cs, CUDA __ldcs), for data read once per pass:
+  /// a miss installs the line as its set's next victim, a hit leaves its
+  /// recency alone, so a streamed walk holds at most the victim slot of a
+  /// set instead of flushing the lines other loads re-read.
+  kEvictFirst,
+};
+
 class CacheSim {
  public:
   explicit CacheSim(const CacheConfig& cfg = CacheConfig{});
 
-  /// Access one cache line by byte address; returns true on hit.
-  /// Thread-safe (internally locked; a waiter spins briefly before it
-  /// blocks): the simulator runs teams on separate host threads while
-  /// sharing one modeled L2.
-  bool access(std::uint64_t byte_addr);
+  /// Access one cache line by byte address under operator `op`; returns
+  /// true on hit.  A normal access promotes the line, including one an
+  /// evict-first load brought in.  Thread-safe (internally locked; a waiter
+  /// spins briefly before it blocks): the simulator runs teams on separate
+  /// host threads while sharing one modeled L2.
+  bool access(std::uint64_t byte_addr, CacheOp op = CacheOp::kNormal);
 
   /// Drop all cached lines (used between kernel launches).
   void invalidate_all();
@@ -41,7 +53,7 @@ class CacheSim {
  private:
   struct Way {
     std::uint64_t tag = 0;
-    std::uint64_t lru = 0;  // last-use stamp
+    std::uint64_t rank = 0;  // eviction rank: a full set evicts its lowest
     bool valid = false;
   };
 

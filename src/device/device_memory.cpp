@@ -13,6 +13,7 @@ MemStats& MemStats::operator+=(const MemStats& o) {
   atomics += o.atomics;
   bytes_moved += o.bytes_moved;
   prefetches += o.prefetches;
+  evict_first += o.evict_first;
   return *this;
 }
 
@@ -28,6 +29,7 @@ MemStats MemStats::operator-(const MemStats& o) const {
   r.atomics -= o.atomics;
   r.bytes_moved -= o.bytes_moved;
   r.prefetches -= o.prefetches;
+  r.evict_first -= o.evict_first;
   return r;
 }
 
@@ -35,17 +37,21 @@ DeviceMemory::DeviceMemory(const CacheConfig& cfg)
     : cache_(cfg), accounting_(true) {}
 
 void DeviceMemory::record_contiguous(std::uint64_t addr, std::uint32_t bytes,
-                                     std::atomic<std::uint64_t>* class_counter) {
+                                     std::atomic<std::uint64_t>* class_counter,
+                                     CacheOp op) {
   if (!accounting()) return;
   const std::uint32_t line = cache_.config().line_bytes;
   const std::uint64_t first = addr / line;
   const std::uint64_t last = (addr + bytes - 1) / line;
 
   class_counter->fetch_add(1, std::memory_order_relaxed);
+  if (op == CacheOp::kEvictFirst) {
+    evict_first_.fetch_add(last - first + 1, std::memory_order_relaxed);
+  }
   for (std::uint64_t l = first; l <= last; ++l) {
     transactions_.fetch_add(1, std::memory_order_relaxed);
     bytes_moved_.fetch_add(line, std::memory_order_relaxed);
-    if (cache_.access(l * line)) {
+    if (cache_.access(l * line, op)) {
       l2_hits_.fetch_add(1, std::memory_order_relaxed);
     } else {
       dram_transactions_.fetch_add(1, std::memory_order_relaxed);
@@ -94,6 +100,7 @@ MemStats DeviceMemory::snapshot() const {
   s.atomics = atomics_.load(std::memory_order_relaxed);
   s.bytes_moved = bytes_moved_.load(std::memory_order_relaxed);
   s.prefetches = prefetches_.load(std::memory_order_relaxed);
+  s.evict_first = evict_first_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -108,6 +115,7 @@ void DeviceMemory::reset_stats() {
   atomics_.store(0, std::memory_order_relaxed);
   bytes_moved_.store(0, std::memory_order_relaxed);
   prefetches_.store(0, std::memory_order_relaxed);
+  evict_first_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace gfsl::device

@@ -14,6 +14,10 @@
 //   * atomic_rmw            — atomic operations; simultaneous atomics from a
 //     warp to one destination serialize (§2.2 "Synchronization").
 //
+// A team read carries a cache operator (CacheOp): walks that read each chunk
+// once per pass load evict-first, as a GPU kernel would with __ldcs.  The
+// operator moves only the hit/DRAM split, never a transaction or byte count.
+//
 // Each transaction is filtered through the simulated L2 to classify it as an
 // L2 hit or a DRAM transaction.  Accounting can be disabled for pure
 // wall-clock runs.
@@ -39,6 +43,7 @@ struct MemStats {
   std::uint64_t atomics = 0;
   std::uint64_t bytes_moved = 0;     // line_bytes per transaction
   std::uint64_t prefetches = 0;      // software prefetches issued (foresight)
+  std::uint64_t evict_first = 0;     // transactions loaded evict-first
 
   std::uint64_t reads() const { return warp_reads + lane_reads; }
   std::uint64_t writes() const { return warp_writes + lane_writes; }
@@ -51,8 +56,9 @@ class DeviceMemory {
  public:
   explicit DeviceMemory(const CacheConfig& cfg = CacheConfig{});
 
-  void warp_read(std::uint64_t addr, std::uint32_t bytes) {
-    record_contiguous(addr, bytes, &warp_reads_);
+  void warp_read(std::uint64_t addr, std::uint32_t bytes,
+                 CacheOp op = CacheOp::kNormal) {
+    record_contiguous(addr, bytes, &warp_reads_, op);
   }
   void warp_write(std::uint64_t addr, std::uint32_t bytes) {
     if (fault_plane_ != nullptr) fault_plane_->on_traffic();
@@ -92,7 +98,8 @@ class DeviceMemory {
 
  private:
   void record_contiguous(std::uint64_t addr, std::uint32_t bytes,
-                         std::atomic<std::uint64_t>* class_counter);
+                         std::atomic<std::uint64_t>* class_counter,
+                         CacheOp op = CacheOp::kNormal);
 
   CacheSim cache_;
   FaultPlane* fault_plane_ = nullptr;
@@ -110,6 +117,7 @@ class DeviceMemory {
   std::atomic<std::uint64_t> atomics_{0};
   std::atomic<std::uint64_t> bytes_moved_{0};
   std::atomic<std::uint64_t> prefetches_{0};
+  std::atomic<std::uint64_t> evict_first_{0};
 };
 
 }  // namespace gfsl::device

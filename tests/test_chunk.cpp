@@ -274,9 +274,9 @@ TEST(HugePageAdvice, RegionBackedArenaIsNeverAdvised) {
 // ---- lazy arenas -----------------------------------------------------------
 //
 // Set-up writes only what the structure keeps: the snapshot record arena
-// and the chunk arena's free links are zero-filled mappings that neither
-// construction nor bulk_load's resets write, so none of their pages is
-// resident until a record is handed out or an index is recycled.
+// and chain heads and the chunk arena's free links are zero-filled mappings
+// that neither construction nor bulk_load's resets write, so none of their
+// pages is resident until a record is handed out or an index is recycled.
 
 /// Resident pages of [p, p + bytes); nullopt when mincore is unavailable.
 std::optional<std::size_t> resident_pages(const void* p, std::size_t bytes) {
@@ -311,6 +311,10 @@ TEST(LazyArenas, SetUpTouchesNoRecordOrFreeLinkPage) {
                                     sizeof(std::uint32_t) * cfg.pool_chunks);
   ASSERT_TRUE(links.has_value());
   EXPECT_EQ(*links, 0u) << "of the free-link pages";
+  const auto heads = resident_pages(
+      snaps.chain_heads(), sizeof(std::atomic<RecIdx>) * cfg.pool_chunks);
+  ASSERT_TRUE(heads.has_value());
+  EXPECT_EQ(*heads, 0u) << "of the chain-head pages";
 }
 
 }  // namespace

@@ -34,6 +34,96 @@ TEST(CacheSim, LruEvictionWithinSet) {
   EXPECT_FALSE(cache.access(1 * 128));  // was evicted
 }
 
+// ---- cache operators -------------------------------------------------------
+//
+// An evict-first miss installs its line as its set's next victim, an
+// evict-first hit leaves the line's rank alone, and a normal access behaves
+// as plain LRU, promoting a streamed line it hits.
+
+CacheSim one_set(std::uint32_t ways) {
+  CacheConfig cfg;
+  cfg.capacity_bytes = ways * 128ull;
+  cfg.associativity = ways;
+  return CacheSim(cfg);
+}
+
+constexpr std::uint64_t line(int i) { return static_cast<std::uint64_t>(i) * 128; }
+
+TEST(CacheOperator, EvictFirstMissIsTheSetsNextVictim) {
+  CacheSim cache = one_set(4);
+  for (int i = 0; i < 4; ++i) cache.access(line(i));  // normal 0..3, 0 LRU
+  EXPECT_FALSE(cache.access(line(10), CacheOp::kEvictFirst));  // evicts 0
+  EXPECT_FALSE(cache.access(line(4)));  // evicts the streamed line, not 1
+  for (int i = 1; i <= 4; ++i) EXPECT_TRUE(cache.access(line(i))) << i;
+  EXPECT_FALSE(cache.access(line(10)));
+  EXPECT_FALSE(cache.access(line(0)));
+}
+
+TEST(CacheOperator, EvictFirstHitDoesNotPromote) {
+  CacheSim cache = one_set(2);
+  cache.access(line(0));
+  cache.access(line(1));  // 0 is LRU
+  EXPECT_TRUE(cache.access(line(0), CacheOp::kEvictFirst));
+  cache.access(line(2));  // still evicts 0
+  EXPECT_TRUE(cache.access(line(1)));
+  EXPECT_FALSE(cache.access(line(0)));
+}
+
+TEST(CacheOperator, NormalHitPromotesAStreamedLine) {
+  CacheSim cache = one_set(2);
+  cache.access(line(0));
+  EXPECT_FALSE(cache.access(line(1), CacheOp::kEvictFirst));
+  EXPECT_TRUE(cache.access(line(1)));  // promoted above 0
+  cache.access(line(2));               // evicts 0, the LRU normal line
+  EXPECT_TRUE(cache.access(line(1)));
+  EXPECT_FALSE(cache.access(line(0)));
+}
+
+TEST(CacheOperator, NewestStreamedLineIsTheNextVictim) {
+  for (int run = 0; run < 2; ++run) {  // the same outcome every run
+    CacheSim cache = one_set(4);
+    cache.access(line(10), CacheOp::kEvictFirst);
+    cache.access(line(11), CacheOp::kEvictFirst);
+    cache.access(line(0));
+    cache.access(line(1));
+    EXPECT_FALSE(cache.access(line(2)));  // evicts 11, the newer
+    EXPECT_TRUE(cache.access(line(10), CacheOp::kEvictFirst));
+    EXPECT_FALSE(cache.access(line(3)));  // evicts 10
+    for (int i = 0; i < 4; ++i) EXPECT_TRUE(cache.access(line(i))) << i;
+    EXPECT_FALSE(cache.access(line(11)));
+    EXPECT_EQ(cache.hits(), 5u);
+    EXPECT_EQ(cache.misses(), 7u);
+  }
+}
+
+TEST(CacheOperator, MovesOnlyTheHitDramSplit) {
+  // A pattern twice the cache's size, read twice under each operator: the
+  // counts other than the hit/DRAM split agree.
+  CacheConfig cfg;
+  cfg.capacity_bytes = 8 * 1024;
+  DeviceMemory normal(cfg);
+  DeviceMemory streamed(cfg);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::uint64_t a = 0; a < 16 * 1024; a += 256) {
+      normal.warp_read(a, 256);
+      streamed.warp_read(a, 256, CacheOp::kEvictFirst);
+    }
+  }
+  const MemStats n = normal.snapshot();
+  const MemStats s = streamed.snapshot();
+  EXPECT_EQ(n.transactions, s.transactions);
+  EXPECT_EQ(n.bytes_moved, s.bytes_moved);
+  EXPECT_EQ(n.warp_reads, s.warp_reads);
+  EXPECT_EQ(n.l2_hits + n.dram_transactions, n.transactions);
+  EXPECT_EQ(s.l2_hits + s.dram_transactions, s.transactions);
+  EXPECT_EQ(n.evict_first, 0u);
+  EXPECT_EQ(s.evict_first, s.transactions);
+  // LRU thrashes on a loop twice its size; evict-first keeps the lines the
+  // first pass brought in before each set filled, and hits them again.
+  EXPECT_EQ(n.l2_hits, 0u);
+  EXPECT_GT(s.l2_hits, 0u);
+}
+
 TEST(CacheSim, CapacityWorkingSetBehavior) {
   // A working set within capacity hits on re-scan; a 2x working set thrashes.
   CacheConfig cfg;

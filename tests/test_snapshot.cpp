@@ -359,6 +359,50 @@ TEST(SnapshotRecordArena, OverflowsAtExactlyTheRecordCapacity) {
 }
 
 // ---------------------------------------------------------------------------
+// scan_at's lateral walk loads evict-first: it holds at most the victim slot
+// of each L2 set, so the chunks other operations read before a scan over a
+// structure several times the L2's size are still resident after it.
+
+TEST(SnapshotScanCache, ScanAtLeavesTheHotChunksResident) {
+  device::CacheConfig l2;
+  l2.capacity_bytes = 64 * 1024;  // 512 lines: 32 sets of 16 ways
+  device::DeviceMemory mem(l2);
+  GfslConfig cfg;
+  cfg.team_size = 32;
+  cfg.pool_chunks = 1u << 12;
+  SnapshotManager snaps(cfg.pool_chunks);
+  Gfsl sl(cfg, &mem, nullptr, nullptr, nullptr, nullptr, &snaps);
+  Team team(32, 0, 5);
+  Pairs pairs;
+  for (Key k = 1; k <= 40'000; ++k) pairs.emplace_back(k, k);
+  sl.bulk_load(pairs);
+  const auto bottom = static_cast<std::uint64_t>(sl.chunks_in_level(0));
+  ASSERT_GT(bottom * 256, 4 * l2.capacity_bytes);
+  mem.flush_cache();
+  mem.reset_stats();
+
+  const std::vector<Key> hot = {1'000, 9'000, 17'000, 25'000, 33'000};
+  for (const Key k : hot) ASSERT_TRUE(sl.contains(team, k));
+  const device::MemStats warm = mem.snapshot();
+  Snapshot s = sl.snapshot();
+  EXPECT_EQ(scan_all(sl, team, s).size(), pairs.size());
+  sl.release_snapshot(s);
+  const device::MemStats scanned = mem.snapshot();
+  for (const Key k : hot) ASSERT_TRUE(sl.contains(team, k));
+  const device::MemStats total = mem.snapshot();
+
+  const device::MemStats reread = total - scanned;
+  EXPECT_EQ(reread.transactions, warm.transactions);
+  EXPECT_EQ(reread.dram_transactions, 0u) << "every hot line hits";
+  EXPECT_EQ((scanned - warm).evict_first, 2 * bottom);  // 256 B chunks
+  // The operator moves only the hit/DRAM split: these are the sequence's
+  // counts with every load normal, when the re-read missed all 34 lines.
+  EXPECT_EQ(total.transactions, 3'768u);
+  EXPECT_EQ(total.warp_reads, 1'895u);
+  EXPECT_EQ(total.bytes_moved, 482'304u);
+}
+
+// ---------------------------------------------------------------------------
 // A/B determinism: the detached path is the seed path.
 
 struct AbRun {

@@ -398,6 +398,11 @@ int main(int argc, char** argv) {
                          ? static_cast<double>(k.mem.l2_hits) /
                                static_cast<double>(k.mem.transactions)
                          : 0.0)});
+  t.add_row({"evict-first share",
+             fmt_pct(k.mem.transactions
+                         ? static_cast<double>(k.mem.evict_first) /
+                               static_cast<double>(k.mem.transactions)
+                         : 0.0)});
   t.add_row({"atomics/op", fmt(static_cast<double>(k.mem.atomics) * per_op, 3)});
   t.add_row({"lock spins/op",
              fmt(static_cast<double>(k.lock_spins) * per_op, 3)});
