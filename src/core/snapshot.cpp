@@ -612,7 +612,7 @@ ScanAtStatus Gfsl::scan_at(Team& team, const Snapshot& s, Key lo, Key hi,
       Guarded cur = search_down(team, next_lo);
       bool redescend = false;
       while (!done && !redescend) {
-        if (own_pin && ++chunks_since_pin >= kScanPinRefresh) {
+        if (own_pin && chunks_since_pin >= kScanPinRefresh) {
           // Long scans must not stall reclamation (kBatchPinRefresh's
           // rationale); drop the pin, run epoch maintenance, re-pin and
           // re-descend to the watermark.
@@ -642,6 +642,12 @@ ScanAtStatus Gfsl::scan_at(Team& team, const Snapshot& s, Key lo, Key hi,
         }
         const Key cmax = max_of(team, kv);
         const ChunkRef nxt = next_of(team, kv);
+        // Only chunks at or past the watermark spend the refresh budget: a
+        // re-descent through a down pointer that reclaim_pass swung to the
+        // head of the level below lands arbitrarily far behind it, and a
+        // walk back that counted would refresh before reaching the
+        // watermark, forever.
+        if (cmax >= next_lo) ++chunks_since_pin;
         // Harvest bound: cap at the chunk's own range.  Keys beyond cmax
         // belong to (and are harvested from) successors — entries beyond it
         // are an in-flight split's uncleared tail, chain records beyond it

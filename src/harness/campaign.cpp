@@ -1,29 +1,31 @@
 #include "harness/campaign.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <thread>
 
+#include "common/env.h"
 #include "common/random.h"
+#include "harness/experiment.h"
 #include "harness/report.h"
 #include "harness/stack.h"
 #include "model/cost_model.h"
+#include "model/occupancy.h"
 #include "obs/metrics.h"
 #include "simt/team.h"
 #include "simt/trace.h"
 
 namespace gfsl::harness {
+namespace {
 
-StructureSetup setup_from_scale(const Scale& sc, int team_size) {
+StructureSetup setup_from_scale(const Scale& sc, int team_size = 32) {
   StructureSetup s;
   s.team_size = team_size;
-  s.p_chunk = env_double("GFSL_P_CHUNK", 1.0);
-  s.warps_per_block = static_cast<int>(env_u64("GFSL_WARPS_PER_BLOCK", 16));
   s.num_workers = static_cast<int>(sc.teams);
   s.warmup_ops = std::min<std::uint64_t>(sc.ops / 4, 20'000);
   return s;
@@ -51,16 +53,20 @@ void print_scale_banner(const Scale& sc) {
       static_cast<unsigned long long>(sc.teams));
 }
 
+/// Stable metric-name fragment for a mix ("mix_10_10_80").
 std::string mix_key(const Mix& mix) {
   return "mix_" + std::to_string(mix.insert_pct) + "_" +
          std::to_string(mix.delete_pct) + "_" +
          std::to_string(mix.contains_pct);
 }
 
+/// Stable metric-name fragment for a key range ("r10000").
 std::string range_key(std::uint64_t range) {
   return "r" + std::to_string(range);
 }
 
+/// Resolve the experiment scale for `opts` (env scale, or the fixed quick
+/// scale) and apply the reps override.
 Scale campaign_scale(const CampaignOptions& opts) {
   Scale sc = Scale::from_env();
   if (opts.quick) {
@@ -76,11 +82,16 @@ Scale campaign_scale(const CampaignOptions& opts) {
   return sc;
 }
 
-namespace {
-
 /// "p50/p90/p99" tail column for a repetition summary (same unit as mean).
 std::string fmt_tail(const Summary& s) {
   return fmt(s.p50, 1) + "/" + fmt(s.p90, 1) + "/" + fmt(s.p99, 1);
+}
+
+/// Share of a run's memory transactions the modeled L2 served.
+double l2_hit_rate(const model::KernelRun& k) {
+  return k.mem.transactions ? static_cast<double>(k.mem.l2_hits) /
+                                  static_cast<double>(k.mem.transactions)
+                            : 0.0;
 }
 
 void stamp_scale(BenchReport& r, const Scale& sc, const CampaignOptions& o) {
@@ -90,7 +101,6 @@ void stamp_scale(BenchReport& r, const Scale& sc, const CampaignOptions& o) {
   r.set_config("teams", std::to_string(sc.teams));
   r.set_config("seed", std::to_string(sc.seed));
   r.set_config("quick", o.quick ? "1" : "0");
-  r.set_config("p_chunk", fmt(env_double("GFSL_P_CHUNK", 1.0), 2));
 }
 
 void add_metric(BenchReport& r, std::string name, std::string unit,
@@ -102,6 +112,121 @@ void add_metric(BenchReport& r, std::string name, std::string unit,
   m.gate = gate;
   m.samples = std::move(samples);
   r.metrics.push_back(std::move(m));
+}
+
+// ---------------------------------------------------------------------------
+// Tables 5.1 and 5.2 — "Effects on GFSL / M&C of limiting warps launched per
+// block".  One measured run of [10,10,80] at the 1M key range (reduced with
+// the scale); occupancy, registers, active blocks and spill come from the
+// occupancy calculator, and the throughput row feeds the measured simulator
+// events through the cost model under each launch configuration.  The
+// thesis's values sit in the adjacent columns.
+
+struct PaperWarpsRow {
+  int warps;
+  double occ, theo;
+  int regs, blocks;
+  double spill, mops;
+};
+
+/// Print the launch-configuration table and record its modeled series;
+/// returns the modeled MOPS per row, in row order.
+std::vector<double> run_warps_table(const model::KernelRun& measured,
+                                    const model::KernelResources& kernel,
+                                    const std::vector<PaperWarpsRow>& paper,
+                                    BenchReport& report) {
+  const model::Occupancy occ_calc;
+  const model::CostModel cm;
+  Table t({"warps/block", "occup/theor", "paper", "regs", "paper", "blocks",
+           "paper", "spill", "paper", "MOPS(model)", "paper"});
+  std::vector<double> mops;
+  for (const auto& p : paper) {
+    const auto o = occ_calc.compute(kernel, p.warps);
+    const auto r = cm.throughput(measured, o);
+    mops.push_back(r.mops);
+    t.add_row({std::to_string(p.warps),
+               fmt_pct(o.achieved_occupancy) + "/" +
+                   fmt_pct(o.theoretical_occupancy),
+               fmt_pct(p.occ) + "/" + fmt_pct(p.theo),
+               std::to_string(o.registers_per_thread), std::to_string(p.regs),
+               std::to_string(o.active_blocks), std::to_string(p.blocks),
+               fmt_pct(o.spill_fraction, 0), fmt_pct(p.spill, 0), fmt(r.mops),
+               fmt(p.mops)});
+    const std::string wk = "w" + std::to_string(p.warps);
+    add_metric(report, "model_mops." + wk, "mops", Better::kHigher, false,
+               {r.mops});
+    add_metric(report, "occupancy." + wk, "fraction", Better::kHigher, false,
+               {o.achieved_occupancy});
+    add_metric(report, "spill." + wk, "fraction", Better::kLower, false,
+               {o.spill_fraction});
+  }
+  t.print(std::cout);
+  return mops;
+}
+
+BenchReport run_table_5_1(const CampaignOptions& opts) {
+  const Scale sc = campaign_scale(opts);
+  BenchReport report;
+  report.campaign = "table_5_1_warps_gfsl";
+  stamp_scale(report, sc, opts);
+
+  print_scale_banner(sc);
+  const std::uint64_t range = std::min<std::uint64_t>(1'000'000, sc.max_range);
+  std::printf("# Table 5.1: GFSL, mix [10,10,80], range %s\n\n",
+              fmt_range(range).c_str());
+
+  // One measured run; the launch configuration only changes the model side.
+  const auto measured = measure_gfsl(
+      make_workload(kMix_10_10_80, range, sc.ops, sc.seed), setup_from_scale(sc));
+  const std::vector<PaperWarpsRow> paper = {
+      {8, 0.367, 0.375, 79, 3, 0.00, 58.9},
+      {16, 0.488, 0.500, 64, 2, 0.10, 65.7},
+      {24, 0.730, 0.750, 40, 2, 0.43, 62.5},
+      {32, 0.958, 1.000, 32, 2, 0.53, 52.9},
+  };
+  const std::vector<double> mops =
+      run_warps_table(measured.kernel, model::kGfslKernel, paper, report);
+  const auto best = std::max_element(mops.begin(), mops.end()) - mops.begin();
+  std::printf(
+      "\nbest modeled configuration: %d warps/block (paper: 16 warps/block "
+      "peaks at 65.7 MOPS)\n",
+      paper[static_cast<std::size_t>(best)].warps);
+  return report;
+}
+
+BenchReport run_table_5_2(const CampaignOptions& opts) {
+  const Scale sc = campaign_scale(opts);
+  BenchReport report;
+  report.campaign = "table_5_2_warps_mc";
+  stamp_scale(report, sc, opts);
+
+  print_scale_banner(sc);
+  const std::uint64_t range = std::min<std::uint64_t>(1'000'000, sc.max_range);
+  std::printf("# Table 5.2: M&C, mix [10,10,80], range %s\n\n",
+              fmt_range(range).c_str());
+
+  // The thesis's observation to reproduce: M&C's throughput "varies very
+  // little, regardless of the number of warps launched" because it is
+  // memory-dependence bound, and spill stays ~23-25% everywhere (the
+  // thread-local path arrays).
+  const auto measured = measure_mc(
+      make_workload(kMix_10_10_80, range, sc.ops, sc.seed), setup_from_scale(sc));
+  const std::vector<double> mops = run_warps_table(
+      measured.kernel, model::kMcKernel,
+      {
+          {8, 0.529, 0.625, 42, 5, 0.25, 20.7},
+          {16, 0.416, 0.500, 42, 2, 0.23, 21.3},
+          {24, 0.590, 0.750, 40, 2, 0.23, 20.6},
+          {32, 0.794, 1.000, 32, 2, 0.24, 20.2},
+      },
+      report);
+  const double lo = *std::min_element(mops.begin(), mops.end());
+  const double hi = *std::max_element(mops.begin(), mops.end());
+  std::printf(
+      "\nmodeled throughput spread across configs: %.1f%% "
+      "(paper: ~5%% — flat, memory-dependence bound)\n",
+      hi > 0 ? (hi - lo) / hi * 100.0 : 0.0);
+  return report;
 }
 
 // ---------------------------------------------------------------------------
@@ -222,19 +347,13 @@ BenchReport run_fig_5_3(const CampaignOptions& opts) {
       // One extra instrumented run for the diagnostic columns.
       const auto gd = measure_gfsl(wl, setup);
       const auto md = measure_mc(wl, setup);
-      const auto hit = [](const model::KernelRun& k) {
-        return k.mem.transactions
-                   ? static_cast<double>(k.mem.l2_hits) /
-                         static_cast<double>(k.mem.transactions)
-                   : 0.0;
-      };
       const double spins = static_cast<double>(gd.kernel.lock_spins) /
                            static_cast<double>(gd.kernel.ops);
       t.add_row({fmt_range(range), fmt_ci(g.mops.mean, g.mops.ci95_half),
                  fmt_tail(g.mops),
                  m.oom ? "OOM" : fmt_ci(m.mops.mean, m.mops.ci95_half),
-                 fmt(spins, 3), fmt_pct(hit(gd.kernel)),
-                 fmt_pct(hit(md.kernel))});
+                 fmt(spins, 3), fmt_pct(l2_hit_rate(gd.kernel)),
+                 fmt_pct(l2_hit_rate(md.kernel))});
       const std::string key = mix_key(mix) + "." + range_key(range);
       add_metric(report, "gfsl_mops." + key, "mops", Better::kHigher, true,
                  g.samples);
@@ -247,7 +366,7 @@ BenchReport run_fig_5_3(const CampaignOptions& opts) {
       add_metric(report, "gfsl_chunks_per_trav." + key, "chunks",
                  Better::kLower, false, {gd.avg_chunks_per_traversal});
       add_metric(report, "gfsl_l2_hit." + key, "fraction", Better::kHigher,
-                 false, {hit(gd.kernel)});
+                 false, {l2_hit_rate(gd.kernel)});
     }
     t.print(std::cout);
     std::printf("\n");
@@ -316,6 +435,116 @@ BenchReport run_fig_5_4(const CampaignOptions& opts) {
     t.print(std::cout);
     std::printf("\n");
   }
+  return report;
+}
+
+// ---------------------------------------------------------------------------
+// §5.2 ablation — the effect of p_chunk on GFSL.  The thesis: "using p_chunk
+// ≈ 1 in GFSL gave the best results in all operation mixtures ... the
+// average number of chunks read in a traversal is between
+// structure-height+1 and structure-height+2 ... Lowering p_chunk causes more
+// lateral steps to be taken, while not having a significant impact on
+// structure height."
+
+BenchReport run_ablation_p_chunk(const CampaignOptions& opts) {
+  const Scale sc = campaign_scale(opts);
+  BenchReport report;
+  report.campaign = "ablation_p_chunk";
+  stamp_scale(report, sc, opts);
+
+  print_scale_banner(sc);
+  const std::uint64_t range = std::min<std::uint64_t>(1'000'000, sc.max_range);
+  std::printf("# p_chunk ablation: GFSL-32, mix [10,10,80], range %s\n",
+              fmt_range(range).c_str());
+  std::printf(
+      "# paper: best at p_chunk ~ 1; traversal reads height+1..height+2\n\n");
+
+  Table t({"p_chunk", "MOPS(model)", "chunks/traversal", "warp reads/op",
+           "L2 hit"});
+  double best_mops = 0.0;
+  double best_p = 0.0;
+  for (const double p : {0.2, 0.4, 0.6, 0.8, 1.0}) {
+    auto setup = setup_from_scale(sc);
+    setup.p_chunk = p;
+    const auto m = measure_gfsl(
+        make_workload(kMix_10_10_80, range, sc.ops, sc.seed), setup);
+    if (m.model_mops > best_mops) {
+      best_mops = m.model_mops;
+      best_p = p;
+    }
+    const double reads_per_op =
+        static_cast<double>(m.kernel.mem.warp_reads) /
+        static_cast<double>(m.kernel.ops ? m.kernel.ops : 1);
+    const double hit = l2_hit_rate(m.kernel);
+    t.add_row({fmt(p, 1), fmt(m.model_mops),
+               fmt(m.avg_chunks_per_traversal, 2), fmt(reads_per_op, 2),
+               fmt_pct(hit)});
+    const std::string pk = "p" + fmt(p, 1);
+    add_metric(report, "model_mops." + pk, "mops", Better::kHigher, false,
+               {m.model_mops});
+    add_metric(report, "chunks_per_trav." + pk, "chunks", Better::kLower,
+               false, {m.avg_chunks_per_traversal});
+    add_metric(report, "warp_reads_per_op." + pk, "reads", Better::kLower,
+               false, {reads_per_op});
+    add_metric(report, "l2_hit." + pk, "fraction", Better::kHigher, false,
+               {hit});
+  }
+  t.print(std::cout);
+  std::printf("\nbest p_chunk (modeled): %.1f (paper: ~1.0)\n", best_p);
+  return report;
+}
+
+// ---------------------------------------------------------------------------
+// Extension — two teams per warp (thesis Chapter 7, future work): "We
+// believe that GFSL-16 would probably outperform GFSL-32 with proper support
+// for executing two teams within the same warp.  However, synchronization
+// between threads in the same warp is a delicate task ... teams in the same
+// warp may deadlock while trying to take the lock for the same chunk."
+//
+// Pairs of 16-lane teams share a warp under round-robin lockstep
+// (StepScheduler::RoundRobin).  The deadlock hazard is dissolved by
+// construction: a spinning team yields at every iteration, so its warp-mate
+// (possibly the lock holder) always advances.  The cost model overlaps the
+// pair's memory waits but still serializes their instructions.  The
+// conjecture to test: GFSL-16x2 recovers the 128 B single-transaction chunk
+// reads AND warp-level op parallelism, beating GFSL-32.
+
+BenchReport run_ext_dual_team_warp(const CampaignOptions& opts) {
+  const Scale sc = campaign_scale(opts);
+  BenchReport report;
+  report.campaign = "ext_dual_team_warp";
+  stamp_scale(report, sc, opts);
+
+  print_scale_banner(sc);
+  std::printf("# Extension: GFSL-16 x2 teams/warp vs GFSL-16 and GFSL-32\n");
+  std::printf(
+      "# thesis conjecture: dual-team GFSL-16 should beat GFSL-32\n\n");
+
+  const int reps = static_cast<int>(sc.reps);
+  Table t({"range", "GFSL-16 MOPS", "GFSL-32 MOPS", "GFSL-16x2 MOPS",
+           "16x2 / 32"});
+  for (const auto range : sweep_ranges(sc.max_range)) {
+    auto wl = make_workload(kMix_10_10_80, range, sc.ops, sc.seed);
+    const auto s16 = setup_from_scale(sc, /*team_size=*/16);
+    const auto s32 = setup_from_scale(sc, /*team_size=*/32);
+    const auto g16 = repeat_gfsl(wl, s16, reps);
+    const auto g32 = repeat_gfsl(wl, s32, reps);
+    const auto dual = repeat_gfsl_dual(wl, s16, reps);
+    t.add_row({fmt_range(range), fmt_ci(g16.mops.mean, g16.mops.ci95_half),
+               fmt_ci(g32.mops.mean, g32.mops.ci95_half),
+               fmt_ci(dual.mops.mean, dual.mops.ci95_half),
+               fmt(dual.mops.mean / g32.mops.mean, 2) + "x"});
+    const std::string rk = range_key(range);
+    add_metric(report, "gfsl16_mops." + rk, "mops", Better::kHigher, false,
+               g16.samples);
+    add_metric(report, "gfsl32_mops." + rk, "mops", Better::kHigher, false,
+               g32.samples);
+    add_metric(report, "gfsl16x2_mops." + rk, "mops", Better::kHigher, false,
+               dual.samples);
+    add_metric(report, "dual_vs_32." + rk, "x", Better::kHigher, false,
+               {dual.mops.mean / g32.mops.mean});
+  }
+  t.print(std::cout);
   return report;
 }
 
@@ -706,13 +935,16 @@ BenchReport run_micro_ops(const CampaignOptions& opts) {
       opts,
       {.campaign = "micro_ops",
        .what = "with observability detached / metrics shard attached / "
-               "flight recorder armed",
+               "flight recorder armed, and with epoch reclamation attached",
        .arms = {{.key = "detached"},
                 {.key = "metrics", .probe = Probe::kMetrics},
-                {.key = "flight_recorder", .probe = Probe::kFlightRecorder}},
+                {.key = "flight_recorder", .probe = Probe::kFlightRecorder},
+                {.key = "epochs", .stack = {.epochs = true}}},
        .acceptance = "the armed-but-idle flight recorder stays within noise "
                      "of detached (a ring store is a few arithmetic ops and "
-                     "one array write; no clock read)."});
+                     "one array write; no clock read); the epochs ratio is "
+                     "the fault-free EBR overhead (pin/unpin per op, "
+                     "generation-checked reads, merges retiring to limbo)."});
 }
 
 BenchReport run_persist_overhead(const CampaignOptions& opts) {
@@ -1009,6 +1241,12 @@ BenchReport run_foresight_pointops(const CampaignOptions& opts) {
 
 const std::vector<Campaign>& campaigns() {
   static const std::vector<Campaign> kCampaigns = {
+      {"table_5_1_warps_gfsl",
+       "GFSL-32 launch configurations: occupancy, spill, modeled MOPS",
+       run_table_5_1},
+      {"table_5_2_warps_mc",
+       "M&C launch configurations: occupancy, spill, modeled MOPS",
+       run_table_5_2},
       {"fig_5_1_chunk_size", "GFSL-16 vs GFSL-32 vs M&C, mix [10,10,80]",
        run_fig_5_1},
       {"fig_5_2_ratio", "GFSL / M&C throughput ratio per mix and key range",
@@ -1017,11 +1255,16 @@ const std::vector<Campaign>& campaigns() {
        run_fig_5_3},
       {"fig_5_4_single_op",
        "contains-/insert-/delete-only throughput vs key range", run_fig_5_4},
+      {"ablation_p_chunk", "GFSL-32 throughput and traversal cost vs p_chunk",
+       run_ablation_p_chunk},
+      {"ext_dual_team_warp", "GFSL-16 x2 teams per warp vs GFSL-16 and GFSL-32",
+       run_ext_dual_team_warp},
       {"batch_throughput", "batched vs per-op dispatch A/B",
        run_batch_throughput},
       {"steady_state_churn", "epoch-reclamation memory soak (leak vs ebr)",
        run_steady_state_churn},
-      {"micro_ops", "host ns/op with observability layers detached vs armed",
+      {"micro_ops",
+       "host ns/op with observability layers or epochs detached vs armed",
        run_micro_ops},
       {"persist_overhead",
        "host ns/op with the durable region detached / leased / armed",
@@ -1063,20 +1306,6 @@ BenchReport run_campaign(const Campaign& c, const CampaignOptions& opts) {
     }
   }
   return report;
-}
-
-int campaign_main(const std::string& name) {
-  const Campaign* c = find_campaign(name);
-  if (c == nullptr) {
-    std::fprintf(stderr, "unknown campaign '%s'\n", name.c_str());
-    return 2;
-  }
-  CampaignOptions opts;
-  if (const char* dir = std::getenv("GFSL_BENCH_JSON_DIR"); dir != nullptr) {
-    opts.out_dir = dir;
-  }
-  (void)run_campaign(*c, opts);
-  return 0;
 }
 
 }  // namespace gfsl::harness

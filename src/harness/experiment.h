@@ -1,6 +1,6 @@
 // Shared experiment drivers: build a structure, prefill it per §5.1, run the
 // operation array with concurrent workers, and feed the measured events
-// through the GPU cost model.  Every bench binary is a thin loop over these.
+// through the GPU cost model.  Every campaign is a thin loop over these.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
-// Plain-text table/CSV rendering for bench output.  Every bench binary
-// prints the same rows/series as the corresponding thesis table or figure,
-// side by side with the paper's reference values where the thesis states
-// them.
+// Plain-text table/CSV rendering for bench output.  Every campaign prints
+// the same rows/series as the corresponding thesis table or figure, side by
+// side with the paper's reference values where the thesis states them.
 #pragma once
 
 #include <cstdint>

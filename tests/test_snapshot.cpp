@@ -16,6 +16,7 @@
 
 #include "common/random.h"
 #include "core/gfsl.h"
+#include "core/inspect.h"
 #include "core/snapshot.h"
 #include "device/device_memory.h"
 #include "device/epoch.h"
@@ -400,6 +401,101 @@ TEST(SnapshotScanCache, ScanAtLeavesTheHotChunksResident) {
   EXPECT_EQ(total.transactions, 3'768u);
   EXPECT_EQ(total.warp_reads, 1'895u);
   EXPECT_EQ(total.bytes_moved, 482'304u);
+}
+
+// ---------------------------------------------------------------------------
+// scan_at's pin refresh.  Without an enclosing pin, scan_at drops and
+// re-takes its pin every kScanPinRefresh chunks and re-descends to its
+// watermark.  reclaim_pass swings a stale down pointer to the head of the
+// level below, an image validate() accepts, so a re-descent can land
+// hundreds of chunks behind the watermark.  The walk back must not spend the
+// refresh budget, or the scan refreshes before reaching the watermark and
+// lands in the same place forever.  A watchdog kill turns such a livelock
+// into a failed case within a second instead of a ctest timeout.
+
+Pairs identity_pairs(Key lo, Key hi) {
+  Pairs out;
+  for (Key k = lo; k <= hi; ++k) out.emplace_back(k, k);
+  return out;
+}
+
+/// Bulk-load keys 1..8000 into GFSL-8 with epochs and snapshots (2000
+/// bottom chunks, height 6), point the down pointer of every level-1 entry
+/// `swing` picks at the bottom level's head, and scan [lo, hi] at a fresh
+/// snapshot, with no pin held, under a single-team deterministic scheduler.
+/// Returns false when the watchdog had to kill the scan.
+template <typename Swing>
+bool scan_behind_swung_pointers(Swing swing, Key lo, Key hi, Pairs& got) {
+  device::DeviceMemory mem;
+  device::EpochManager epochs;
+  sched::StepScheduler sched(sched::StepScheduler::Mode::Deterministic, 1, 1);
+  GfslConfig cfg;
+  cfg.team_size = 8;
+  cfg.pool_chunks = 1u << 12;
+  SnapshotManager snaps(cfg.pool_chunks);
+  Gfsl sl(cfg, &mem, &sched, nullptr, &epochs, nullptr, &snaps);
+  sl.bulk_load(identity_pairs(1, 8'000));
+  EXPECT_EQ(sl.chunks_in_level(0), 2'000);
+
+  const GfslInspector insp(sl);
+  const ChunkRef head0 = insp.head(0).load();
+  int swung = 0;
+  for (const ChunkView& c : insp.level_chain(1, nullptr)) {
+    auto* e = const_cast<std::atomic<KV>*>(sl.arena().entries(c.ref));
+    for (int i = 0; i < sl.arena().dsize(); ++i) {
+      const KV kv = e[i].load();
+      if (kv_is_empty(kv) || kv_key(kv) == KEY_NEG_INF) continue;
+      if (!swing(kv_key(kv))) continue;
+      e[i].store(make_kv(kv_key(kv), static_cast<Value>(head0)));
+      ++swung;
+    }
+  }
+  EXPECT_GT(swung, 0);
+  const ValidationReport rep = sl.validate();
+  EXPECT_TRUE(rep.ok) << rep.error;
+
+  // Every 64-chunk refresh costs a descent and an epoch exit.  A scan that
+  // terminates takes at most ~34,000 steps here (every pointer swung: each
+  // refresh walks back from the head); a livelocked one passes this many
+  // in well under a second.
+  sched.kill_all_at(200'000);
+  Team team(8, 0, 5);
+  sched.enter(0);
+  try {
+    Snapshot s = sl.snapshot();
+    EXPECT_EQ(sl.scan_at(team, s, lo, hi, got), ScanAtStatus::kOk);
+    sl.release_snapshot(s);
+  } catch (const sched::TeamKilled&) {
+    return false;
+  }
+  sched.leave(0);
+  return true;
+}
+
+TEST(SnapshotScanRefresh, RedescentFarBehindTheWatermarkStillProgresses) {
+  // One level-1 entry in the middle of the key space: the first descent
+  // for 4001 lands ~1000 bottom chunks short of it.
+  Key swung_key = 0;
+  Pairs got;
+  ASSERT_TRUE(scan_behind_swung_pointers(
+      [&](Key k) {
+        if (swung_key != 0 || k < 4'000) return false;
+        swung_key = k;
+        return true;
+      },
+      4'001, 6'001, got))
+      << "scan_at livelocked re-descending through the swung pointer of key "
+      << swung_key;
+  EXPECT_EQ(got, identity_pairs(4'001, 6'001));
+}
+
+TEST(SnapshotScanRefresh, EveryRedescentLandingAtTheHeadStillProgresses) {
+  // Every level-1 entry swung: each refresh walks back from the head.
+  Pairs got;
+  ASSERT_TRUE(scan_behind_swung_pointers([](Key) { return true; },
+                                         MIN_USER_KEY, MAX_USER_KEY, got))
+      << "scan_at livelocked re-descending through head-swung pointers";
+  EXPECT_EQ(got, identity_pairs(1, 8'000));
 }
 
 // ---------------------------------------------------------------------------

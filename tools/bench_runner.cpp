@@ -1,13 +1,15 @@
-// bench_runner — the unified campaign driver (gfsl-bench-v1 producer).
+// bench_runner — runs the benchmark campaigns (gfsl-bench-v1 producer), the
+// one way to run a thesis table or figure.
 //
 //   bench_runner [--campaign a,b,c | --campaign all] [--quick] [--reps N]
 //                [--out-dir DIR] [--list]
 //
-// Runs the selected benchmark campaigns (the same registry the per-figure
-// bench binaries wrap) and, when --out-dir is given, writes one
-// `BENCH_<campaign>.json` gfsl-bench-v1 report per campaign.  --quick swaps
-// in the fixed reduced scale the CI regression gate uses, so the emitted
-// reports are directly comparable against the committed baselines under
+// Runs the selected benchmark campaigns (harness/campaign.h) and, when
+// --out-dir is given, writes one `BENCH_<campaign>.json` gfsl-bench-v1
+// report per campaign.  Without --quick the scale comes from GFSL_OPS,
+// GFSL_MAX_RANGE, GFSL_REPS, GFSL_TEAMS and GFSL_SEED; --quick swaps in the
+// fixed reduced scale the CI regression gate uses, so the emitted reports
+// are directly comparable against the committed baselines under
 // bench/baselines/.  Exit codes: 0 all campaigns ran, 2 bad usage or an
 // unknown campaign name.
 #include <cstdio>
